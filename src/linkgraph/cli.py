@@ -118,7 +118,7 @@ def _common_flags(p: argparse.ArgumentParser, source: bool = True) -> None:
         default="csv",
         help="tabular output format (default csv)",
     )
-    _add(p, "--workers", type=int, default=1, help="parallelism cap; results never depend on it")
+    _add(p, "--workers", type=int, default=1, help="must be >= 1; unused, commands run serially")
     _add(p, "--seed", type=int, default=DEFAULT_SEED, help="master RNG seed (default 1)")
     _add(p, "--verbose", action="store_true", default=False, help="progress on stderr")
 
@@ -392,21 +392,31 @@ def cmd_recip(args) -> int:
     return 0
 
 
+def _zeta_law(side: str, gamma: float, k_min: int, cutoff: int | None, n: int):
+    if not gamma > 1.0:
+        raise _UsageError(f"--gamma-{side} must be > 1")
+    if k_min < 1:
+        raise _UsageError(f"--kmin-{side} must be >= 1")
+    if cutoff is None:
+        cutoff = max(10, n // 10)
+    if cutoff < k_min:
+        raise _UsageError(f"--cutoff-{side} must be >= --kmin-{side}")
+    return ZetaDegreeLaw(gamma, k_min, cutoff)
+
+
 def _resolve_laws(args):
     if args.gamma_in is not None and args.lambda_in is not None:
         raise _UsageError("give either --gamma-in or --lambda-in, not both")
     if args.gamma_out is not None and args.lambda_out is not None:
         raise _UsageError("give either --gamma-out or --lambda-out, not both")
     if args.gamma_in is not None:
-        cutoff = args.cutoff_in if args.cutoff_in is not None else max(10, args.n // 10)
-        in_law = ZetaDegreeLaw(args.gamma_in, args.kmin_in, cutoff)
+        in_law = _zeta_law("in", args.gamma_in, args.kmin_in, args.cutoff_in, args.n)
     elif args.lambda_in is not None:
         in_law = PoissonDegreeLaw(args.lambda_in)
     else:
         in_law = ZetaDegreeLaw(2.1, 1, max(10, args.n // 10))
     if args.gamma_out is not None:
-        cutoff = args.cutoff_out if args.cutoff_out is not None else max(10, args.n // 10)
-        out_law = ZetaDegreeLaw(args.gamma_out, args.kmin_out, cutoff)
+        out_law = _zeta_law("out", args.gamma_out, args.kmin_out, args.cutoff_out, args.n)
     elif args.lambda_out is not None:
         out_law = PoissonDegreeLaw(args.lambda_out)
     else:
@@ -416,6 +426,10 @@ def _resolve_laws(args):
 
 def cmd_simulate(args) -> int:
     in_law, out_law = _resolve_laws(args)
+    if args.seed_count < 1:
+        raise _UsageError("--seed-count must be >= 1")
+    if args.budget is not None and args.budget < min(args.seed_count, args.n):
+        raise _UsageError("--budget must be >= --seed-count")
     gen_cfg = GeneratorConfig(
         node_count=args.n,
         in_law=in_law,

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.csgraph import connected_components as _cc
 
-from .graph import DirectedGraph, gather_neighbors
+from .graph import DirectedGraph
 
 
 class BowTieClass(enum.Enum):
@@ -83,11 +84,7 @@ def strongly_connected_components(g: DirectedGraph) -> tuple[np.ndarray, np.ndar
     n = g.node_count
     if n == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    mat = csr_matrix(
-        (np.ones(g.edge_count, dtype=np.int8), g.fwd_targets, g.fwd_offsets),
-        shape=(n, n),
-    )
-    _, labels = _cc(mat, directed=True, connection="strong")
+    _, labels = _cc(_adjacency(g.fwd_offsets, g.fwd_targets), connection="strong")
     # renumber by first occurrence so labels are deterministic
     _, first_idx, inverse = np.unique(labels, return_index=True, return_inverse=True)
     rank = np.empty(len(first_idx), dtype=np.int64)
@@ -97,44 +94,35 @@ def strongly_connected_components(g: DirectedGraph) -> tuple[np.ndarray, np.ndar
     return labels, sizes
 
 
-def _reach_mask(
-    offsets: np.ndarray,
-    targets: np.ndarray,
-    seeds: np.ndarray,
-    blocked: np.ndarray | None = None,
-) -> np.ndarray:
-    """Boolean mask of nodes reachable from ``seeds`` along one CSR
-    direction, never entering ``blocked`` nodes. Seeds are included."""
+def _adjacency(offsets: np.ndarray, targets: np.ndarray) -> csr_matrix:
     n = len(offsets) - 1
-    visited = np.zeros(n, dtype=bool)
-    if blocked is not None:
-        visited |= blocked
-    frontier = np.unique(seeds)
-    visited[frontier] = True
-    reached = np.zeros(n, dtype=bool)
-    reached[frontier] = True
-    while frontier.size:
-        neigh = gather_neighbors(offsets, targets, frontier)
-        neigh = neigh[~visited[neigh]]
-        frontier = np.unique(neigh).astype(np.int64)
-        visited[frontier] = True
-        reached[frontier] = True
-    return reached
+    return csr_matrix((np.ones(len(targets)), targets, offsets), shape=(n, n))
 
 
-def _weak_reach_mask(g: DirectedGraph, seeds: np.ndarray) -> np.ndarray:
-    n = g.node_count
-    visited = np.zeros(n, dtype=bool)
-    frontier = np.unique(seeds)
-    visited[frontier] = True
-    while frontier.size:
-        fwd = gather_neighbors(g.fwd_offsets, g.fwd_targets, frontier)
-        rev = gather_neighbors(g.rev_offsets, g.rev_sources, frontier)
-        neigh = np.concatenate([fwd, rev])
-        neigh = neigh[~visited[neigh]]
-        frontier = np.unique(neigh).astype(np.int64)
-        visited[frontier] = True
-    return visited
+def _reach_mask(offsets: np.ndarray, targets: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """Boolean mask of nodes reachable from ``seeds`` along one CSR
+    direction, seeds included.
+
+    One compiled breadth-first search from a virtual super-source, node
+    ``n``, whose row lists the seeds: the cost is linear in nodes plus
+    edges whatever the graph's depth.
+    """
+    n = len(offsets) - 1
+    mat = _adjacency(
+        np.append(offsets, offsets[-1] + len(seeds)), np.concatenate([targets, seeds])
+    )
+    reached = np.zeros(n + 1, dtype=bool)
+    reached[breadth_first_order(mat, n, return_predecessors=False)] = True
+    return reached[:n]
+
+
+def _drop_edges_into(
+    offsets: np.ndarray, targets: np.ndarray, blocked: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR without the edges whose head is a ``blocked`` node."""
+    keep = ~blocked[targets]
+    kept_before = np.concatenate([[0], np.cumsum(keep)])
+    return kept_before[offsets], targets[keep]
 
 
 def bowtie_decompose(g: DirectedGraph) -> BowTiePartition:
@@ -174,13 +162,14 @@ def bowtie_decompose(g: DirectedGraph) -> BowTiePartition:
     in_nodes = np.flatnonzero(in_)
     out_nodes = np.flatnonzero(out_)
     if in_nodes.size and out_nodes.size:
-        from_in = _reach_mask(g.fwd_offsets, g.fwd_targets, in_nodes, blocked=scc)
-        to_out = _reach_mask(g.rev_offsets, g.rev_sources, out_nodes, blocked=scc)
+        # paths that never enter the core
+        from_in = _reach_mask(*_drop_edges_into(g.fwd_offsets, g.fwd_targets, scc), in_nodes)
+        to_out = _reach_mask(*_drop_edges_into(g.rev_offsets, g.rev_sources, scc), out_nodes)
         tube = from_in & to_out & ~main
 
-    weak = _weak_reach_mask(g, scc_nodes)
+    _, weak_labels = _cc(_adjacency(g.fwd_offsets, g.fwd_targets), connection="weak")
+    weak = weak_labels == weak_labels[scc_nodes[0]]
     tendril = weak & ~main & ~tube
-    disconnected = ~weak
 
     class_of = np.full(n, _CLASS_CODE[BowTieClass.DISCONNECTED], dtype=np.uint8)
     class_of[tendril] = _CLASS_CODE[BowTieClass.TENDRIL]

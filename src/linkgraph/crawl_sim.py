@@ -514,13 +514,12 @@ class CrawlOutcome:
 
 
 def graph_fingerprint(g: DirectedGraph) -> str:
-    """Cheap structural digest used to pair outcomes with their source
-    graph."""
-    h = hashlib.sha1()
+    """Digest of the sizes and of every entry of the forward CSR, used to
+    pair outcomes with their source graph."""
+    h = hashlib.blake2b()
     h.update(struct.pack("<QQ", g.node_count, g.edge_count))
-    for arr in (g.fwd_offsets, g.fwd_targets):
-        step = max(1, len(arr) // 1024)
-        h.update(np.ascontiguousarray(arr[::step], dtype="<i8").tobytes())
+    h.update(np.ascontiguousarray(g.fwd_offsets, dtype="<i8"))
+    h.update(np.ascontiguousarray(g.fwd_targets, dtype="<i4"))
     return h.hexdigest()
 
 

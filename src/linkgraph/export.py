@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 
 from .components import BowTiePartition
 from .correlations import CorrelationProfile
-from .crawl_sim import BiasReport, GenerationReport
+from .crawl_sim import BiasReport
 from .degree_stats import (
     CumulativeCurve,
     DegreeHistogram,
@@ -34,10 +33,6 @@ def _fmt(x) -> str:
             return "nan"
         return repr(x)
     return str(x)
-
-
-def dump_json(obj, path: str | Path) -> None:
-    Path(path).write_text(json_text(obj), encoding="utf-8")
 
 
 def json_text(obj) -> str:
@@ -201,7 +196,3 @@ def bias_report_csv(report: BiasReport) -> str:
             f"{_fmt(e.relative_deviation)},{note}"
         )
     return "\n".join(lines) + "\n"
-
-
-def generation_report_dict(rep: GenerationReport) -> dict:
-    return rep.to_dict()

@@ -446,7 +446,7 @@ def save_cache(g: DirectedGraph) -> bytes:
 
 def load_cache(data: bytes) -> DirectedGraph:
     """Deserialize :func:`save_cache` output; validates magic, version,
-    and exact length."""
+    exact length, non-decreasing offsets and node ids in ``0..n-1``."""
     if len(data) < _HEADER.size:
         raise CacheFormatError("cache shorter than header")
     magic, version, flags, n, m = _HEADER.unpack_from(data, 0)
@@ -472,8 +472,12 @@ def load_cache(data: bytes) -> DirectedGraph:
     original_ids = None
     if has_ids:
         original_ids = np.frombuffer(data, dtype="<i8", count=n, offset=pos).copy()
-    if fwd_off[0] != 0 or fwd_off[-1] != m or rev_off[0] != 0 or rev_off[-1] != m:
-        raise CacheFormatError("inconsistent offset arrays")
+    # compiled traversals index with these arrays unchecked
+    for off, ids in ((fwd_off, fwd_tgt), (rev_off, rev_src)):
+        if off[0] != 0 or off[-1] != m or np.any(off[1:] < off[:-1]):
+            raise CacheFormatError("inconsistent offset arrays")
+        if m and (ids.min() < 0 or ids.max() >= n):
+            raise CacheFormatError("node id out of range in cache")
     return DirectedGraph(n, fwd_off, fwd_tgt, rev_off, rev_src, original_ids)
 
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,6 +100,17 @@ class TestBowtie:
         bad.write_bytes(b"XXXX not a cache")
         code, _, err = run(["bowtie", "--cache", str(bad)], capsys)
         assert code == 3
+
+    def test_cache_with_out_of_range_target_is_input_error(self, tmp_path, capsys):
+        g = graph_of(TOY8_N, TOY8_EDGES)
+        blob = bytearray(save_cache(g))
+        first_target = 32 + 2 * 8 * (TOY8_N + 1)
+        blob[first_target:first_target + 4] = (10**6).to_bytes(4, "little")
+        bad = tmp_path / "bad.wgl"
+        bad.write_bytes(bytes(blob))
+        code, _, err = run(["bowtie", "--cache", str(bad)], capsys)
+        assert code == 3
+        assert err.startswith("input error:")
 
 
 class TestDegrees:
@@ -218,6 +230,17 @@ class TestSimulate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--gamma-in", "0.5"], ["--budget", "2", "--seed-count", "5"]],
+    )
+    def test_invalid_settings_are_usage_errors(self, flags, capsys):
+        code, _, err = run(["simulate", "--n", "200", *flags], capsys)
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("usage error:")
+        assert len(err.splitlines()) == 1
+
     def test_infeasible_target_is_computation_error(self, capsys):
         code, _, err = run(
             ["simulate", "--n", "50", "--lambda-in", "2", "--reciprocity", "1.0"],
@@ -286,6 +309,7 @@ class TestReport:
 def test_console_script_help():
     proc = subprocess.run(
         [sys.executable, "-m", "linkgraph.cli", "--help"],
+        cwd=Path(__file__).parents[1] / "src",  # `-m` puts the cwd on sys.path
         capture_output=True,
         text=True,
     )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from linkgraph import BowTieClass, bowtie_decompose
+from linkgraph import BowTieClass, DirectedGraph, bowtie_decompose
 from linkgraph.components import strongly_connected_components
 
 import oracles
@@ -131,3 +131,71 @@ def test_deterministic_across_runs(make_graph):
     a = bowtie_decompose(graph_of(50, edges))
     b = bowtie_decompose(graph_of(50, edges))
     assert a.class_of.tolist() == b.class_of.tolist()
+
+
+def planted_chain_bowtie(seed, core=20_000, chain=20_000):
+    """A bow-tie whose classes are long chains, with ids shuffled.
+
+    The core is a Hamiltonian cycle plus random chords. IN and OUT are
+    chains into and out of it; the TUBE chain runs from the head of IN
+    to the tail of OUT; one TENDRIL chain leaves the head of IN, the
+    other enters the tail of OUT; the DISCONNECTED chain touches
+    nothing. Returns the graph and every node's planted class name.
+    """
+    rng = np.random.default_rng(seed)
+    sizes = [("SCC", core), ("IN", chain), ("OUT", chain), ("TUBE", chain // 2),
+             ("TENDRIL", chain // 2), ("TENDRIL", chain // 2),
+             ("DISCONNECTED", chain // 2)]
+    n = sum(k for _, k in sizes)
+    ids = rng.permutation(n)
+    blocks, pos = [], 0
+    for _, k in sizes:
+        blocks.append(ids[pos:pos + k])
+        pos += k
+    scc, in_, out, tube, tendril_a, tendril_b, disc = blocks
+    pairs = [
+        (scc, np.roll(scc, -1)),
+        (np.repeat(scc, 3), rng.choice(scc, 3 * core)),
+    ]
+    for chain_ids in (in_, out, tube, tendril_a, tendril_b, disc):
+        pairs.append((chain_ids[:-1], chain_ids[1:]))
+    links = [
+        (in_[-1], scc[0]),
+        (scc[-1], out[0]),
+        (in_[0], tube[0]),
+        (tube[-1], out[-1]),
+        (in_[0], tendril_a[0]),
+        (tendril_b[-1], out[-1]),
+    ]
+    pairs += [(np.array([u]), np.array([v])) for u, v in links]
+    src = np.concatenate([p[0] for p in pairs])
+    dst = np.concatenate([p[1] for p in pairs])
+    planted = np.empty(n, dtype=object)
+    for (name, _), block in zip(sizes, blocks):
+        planted[block] = name
+    return DirectedGraph.from_edges(n, src, dst), planted
+
+
+def test_deep_chain_bowtie_matches_planted_classes():
+    # one BFS level per chain node: a per-level loop would take seconds
+    g, planted = planted_chain_bowtie(seed=2024)
+    assert g.node_count >= 100_000
+    part = bowtie_decompose(g)
+    for cls in BowTieClass:
+        assert np.array_equal(part.nodes_in(cls), np.flatnonzero(planted == cls.value))
+
+
+def test_tube_never_passes_through_core(make_graph):
+    # 3 -> core {0,1,2} -> 4 is the IN -> SCC -> OUT path; the true tube
+    # 3 -> 5 -> 6 -> 4 runs beside it, and 7 only hangs off IN
+    edges = [(0, 1), (1, 2), (2, 0), (3, 0), (2, 4), (4, 8),
+             (3, 5), (5, 6), (6, 4), (3, 7)]
+    got = classes_as_sets(bowtie_decompose(make_graph(9, edges)))
+    assert got == {
+        "SCC": {0, 1, 2},
+        "IN": {3},
+        "OUT": {4, 8},
+        "TUBE": {5, 6},
+        "TENDRIL": {7},
+        "DISCONNECTED": set(),
+    }

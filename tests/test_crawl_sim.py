@@ -5,6 +5,7 @@ from linkgraph import (
     CrawlConfig,
     CrawlProto,
     CrawlStrategy,
+    DirectedGraph,
     ExplicitDegreeLaw,
     FrontierMode,
     GenerationError,
@@ -345,6 +346,28 @@ class TestBiasReport:
         b = graph_of(3, [(0, 1), (2, 1)])
         assert graph_fingerprint(a) != graph_fingerprint(b)
         assert graph_fingerprint(a) == graph_fingerprint(graph_of(3, [(0, 1), (1, 2)]))
+
+    def test_fingerprint_covers_every_edge(self):
+        # rewire one edge at a CSR position that a sample of every
+        # (m // 1024)-th entry would skip
+        rng = np.random.default_rng(11)
+        n, m = 50_000, 200_000
+        a = DirectedGraph.from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m))
+        src = np.repeat(np.arange(n), a.out_degrees)
+        dst = a.fwd_targets.astype(np.int64)
+        same_row = src[1:] == src[:-1]
+        gap = np.flatnonzero(same_row & (dst[1:] - dst[:-1] > 1)) + 1
+        i = int(gap[gap % (a.edge_count // 1024) != 0][0])
+        dst[i] -= 1
+        b = DirectedGraph.from_edges(n, src, dst)
+        assert np.array_equal(a.fwd_offsets, b.fwd_offsets)
+        assert np.count_nonzero(a.fwd_targets != b.fwd_targets) == 1
+        assert not a.same_structure(b)
+        out = simulate_crawl(
+            a, CrawlConfig(seeds=(0,), strategy=CrawlStrategy.BFS, page_budget=10)
+        )
+        with pytest.raises(ProvenanceError):
+            bias_report(b, out)
 
 
 class TestEnsemble:

@@ -197,6 +197,21 @@ class TestCache:
         with pytest.raises(CacheFormatError):
             load_cache(blob + b"\x00")
 
+    @pytest.mark.parametrize("value", [8, -1])
+    def test_node_id_out_of_range_rejected(self, toy8, value):
+        blob = bytearray(save_cache(toy8))
+        first_target = 32 + 2 * 8 * (toy8.node_count + 1)
+        blob[first_target:first_target + 4] = value.to_bytes(4, "little", signed=True)
+        with pytest.raises(CacheFormatError):
+            load_cache(bytes(blob))
+
+    def test_decreasing_offsets_rejected(self, toy8):
+        blob = bytearray(save_cache(toy8))
+        assert toy8.fwd_offsets[2] < 6
+        blob[40:48] = (6).to_bytes(8, "little")  # fwd_offsets[1]
+        with pytest.raises(CacheFormatError):
+            load_cache(bytes(blob))
+
     def test_empty_graph_round_trip(self):
         g, _ = build("")
         g2 = load_cache(save_cache(g))
