@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -133,11 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="parse an edge list and write a binary cache")
     _add(p, "--input", type=str, required=True, help="edge-list file (may be gzip)")
     _add(p, "--cache", type=str, default=None, help="cache file to write")
-    _add(p, "--out", type=str, default=None)
-    _add(p, "--format", type=str, choices=("csv", "json"), default="csv")
-    _add(p, "--workers", type=int, default=1)
-    _add(p, "--seed", type=int, default=DEFAULT_SEED)
-    _add(p, "--verbose", action="store_true", default=False)
+    _common_flags(p, source=False)
     p.set_defaults(fn=cmd_ingest)
 
     p = sub.add_parser("bowtie", help="bow-tie decomposition")
@@ -204,11 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="merge JSON outputs into one document")
     _add(p, "--dir", type=str, required=True, help="directory of prior outputs")
-    _add(p, "--out", type=str, default=None)
-    _add(p, "--format", type=str, choices=("csv", "json"), default="csv")
-    _add(p, "--workers", type=int, default=1)
-    _add(p, "--seed", type=int, default=DEFAULT_SEED)
-    _add(p, "--verbose", action="store_true", default=False)
+    _common_flags(p, source=False)
     p.set_defaults(fn=cmd_report)
 
     return ap
@@ -404,6 +397,12 @@ def _zeta_law(side: str, gamma: float, k_min: int, cutoff: int | None, n: int):
     return ZetaDegreeLaw(gamma, k_min, cutoff)
 
 
+def _poisson_law(side: str, lam: float):
+    if not (lam >= 0 and math.isfinite(lam)):
+        raise _UsageError(f"--lambda-{side} must be finite and >= 0")
+    return PoissonDegreeLaw(lam)
+
+
 def _resolve_laws(args):
     if args.gamma_in is not None and args.lambda_in is not None:
         raise _UsageError("give either --gamma-in or --lambda-in, not both")
@@ -412,13 +411,13 @@ def _resolve_laws(args):
     if args.gamma_in is not None:
         in_law = _zeta_law("in", args.gamma_in, args.kmin_in, args.cutoff_in, args.n)
     elif args.lambda_in is not None:
-        in_law = PoissonDegreeLaw(args.lambda_in)
+        in_law = _poisson_law("in", args.lambda_in)
     else:
         in_law = ZetaDegreeLaw(2.1, 1, max(10, args.n // 10))
     if args.gamma_out is not None:
         out_law = _zeta_law("out", args.gamma_out, args.kmin_out, args.cutoff_out, args.n)
     elif args.lambda_out is not None:
-        out_law = PoissonDegreeLaw(args.lambda_out)
+        out_law = _poisson_law("out", args.lambda_out)
     else:
         out_law = PoissonDegreeLaw(law_mean(in_law, max_degree=args.n - 1))
     return in_law, out_law
@@ -426,8 +425,12 @@ def _resolve_laws(args):
 
 def cmd_simulate(args) -> int:
     in_law, out_law = _resolve_laws(args)
+    if args.replicas < 1:
+        raise _UsageError("--replicas must be >= 1")
     if args.seed_count < 1:
         raise _UsageError("--seed-count must be >= 1")
+    if args.budget_fraction is not None and not 0 < args.budget_fraction <= 1:
+        raise _UsageError("--budget-fraction must lie in (0, 1]")
     if args.budget is not None and args.budget < min(args.seed_count, args.n):
         raise _UsageError("--budget must be >= --seed-count")
     gen_cfg = GeneratorConfig(

@@ -16,7 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedStatisticError
-from .graph import DirectedGraph, UndirectedGraph, neighbor_value_sums
+from .graph import (
+    DirectedGraph,
+    UndirectedGraph,
+    exact_product_sum,
+    neighbor_value_sums,
+)
 
 
 @dataclass(frozen=True)
@@ -158,7 +163,7 @@ def crossed_one_point(g: DirectedGraph) -> float:
     kin = np.asarray(g.in_degrees, dtype=np.int64)
     kout = np.asarray(g.out_degrees, dtype=np.int64)
     n = g.node_count
-    num = sum(int(a) * int(b) for a, b in zip(kin.tolist(), kout.tolist()) if a and b)
+    num = exact_product_sum(kin, kout)
     s_in = int(kin.sum())
     s_out = int(kout.sum())
     return (num * n) / (s_in * s_out)
@@ -202,8 +207,7 @@ def knn_undirected(ug: UndirectedGraph) -> CorrelationProfile:
     total = int(deg.sum())
     if total == 0:
         raise UndefinedStatisticError("neighbor profile of an edgeless graph")
-    sq = sum(int(d) * int(d) for d in deg.tolist() if d)
-    kappa = sq / total
+    kappa = exact_product_sum(deg, deg) / total
     sums = neighbor_value_sums(ug.rows, ug.targets, deg.astype(np.float64), ug.node_count)
     mask = deg > 0
     values = np.zeros(ug.node_count)
@@ -227,10 +231,9 @@ def directed_knn(g: DirectedGraph, variant: KnnVariant) -> CorrelationProfile:
         raise UndefinedStatisticError("neighbor profile of an edgeless graph")
 
     s_in = int(kin.sum())  # == s_out == edge count
-    kk = sum(int(a) * int(b) for a, b in zip(kin.tolist(), kout.tolist()) if a and b)
-    kappa_in = sum(int(d) * int(d) for d in kin.tolist() if d) / s_in
-    kappa_out = sum(int(d) * int(d) for d in kout.tolist() if d) / s_in
-    kappa_cross = kk / s_in
+    kappa_in = exact_product_sum(kin, kin) / s_in
+    kappa_out = exact_product_sum(kout, kout) / s_in
+    kappa_cross = exact_product_sum(kin, kout) / s_in
 
     if variant is KnnVariant.IN_NN_OF_IN:
         cond, qty, rows, tgts, norm = kin, kin, g.rev_rows, g.rev_sources, kappa_cross

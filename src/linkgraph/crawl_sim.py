@@ -38,7 +38,7 @@ from .errors import (
     ProvenanceError,
     UndefinedStatisticError,
 )
-from .graph import DirectedGraph, gather_neighbors
+from .graph import DirectedGraph, sorted_unique
 from .reciprocity import decompose
 
 # -- degree laws --------------------------------------------------------
@@ -309,12 +309,6 @@ def _match_directed(rng: np.random.Generator, rem_in: np.ndarray, rem_out: np.nd
     return u[keep], v[keep], int(m - keep.sum())
 
 
-def _dedup_edges(n: int, u: np.ndarray, v: np.ndarray):
-    keys = u * n + v
-    uniq = np.unique(keys)
-    return uniq // n, uniq % n, int(len(keys) - len(uniq))
-
-
 def generate(cfg: GeneratorConfig) -> tuple[DirectedGraph, GenerationReport]:
     """Directed configuration model with a reciprocity target.
 
@@ -369,8 +363,7 @@ def generate(cfg: GeneratorConfig) -> tuple[DirectedGraph, GenerationReport]:
 
     all_u = np.concatenate([mu, mv, pu, du])
     all_v = np.concatenate([mv, mu, pv, dv])
-    eu, ev, dups_global = _dedup_edges(n, all_u, all_v)
-    graph = DirectedGraph.from_edges(n, eu, ev, assume_clean=True)
+    graph = DirectedGraph.from_edges(n, all_u, all_v)
 
     realized = None
     if graph.edge_count:
@@ -385,7 +378,7 @@ def generate(cfg: GeneratorConfig) -> tuple[DirectedGraph, GenerationReport]:
         mutual_pairs_placed=st["placed"],
         conversion_shortfall=st["shortfall"],
         self_loops_discarded=st["self"] + self_b,
-        duplicates_discarded=st["dup"] + dups_global,
+        duplicates_discarded=st["dup"] + len(all_u) - graph.edge_count,
         clipped_draws=clip_in + clip_out,
         balance_adjustments=adjustments,
         stubs_dropped=stubs_dropped,
@@ -436,7 +429,7 @@ def generate_decomposed(
     self_m = int(len(a) - keep.sum())
     a, b = a[keep], b[keep]
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    pair_keys = np.unique(lo * n + hi)
+    pair_keys = sorted_unique(lo * n + hi)
     dup_m = int(len(lo) - len(pair_keys))
     lo, hi = pair_keys // n, pair_keys % n
 
@@ -444,8 +437,7 @@ def generate_decomposed(
 
     all_u = np.concatenate([lo, hi, du])
     all_v = np.concatenate([hi, lo, dv])
-    eu, ev, dups_global = _dedup_edges(n, all_u, all_v)
-    graph = DirectedGraph.from_edges(n, eu, ev, assume_clean=True)
+    graph = DirectedGraph.from_edges(n, all_u, all_v)
     realized = None
     if graph.edge_count:
         realized = decompose(graph).reciprocity_fraction()
@@ -459,7 +451,7 @@ def generate_decomposed(
         mutual_pairs_placed=int(len(lo)),
         conversion_shortfall=0,
         self_loops_discarded=self_m + self_d,
-        duplicates_discarded=dup_m + dups_global,
+        duplicates_discarded=dup_m + len(all_u) - graph.edge_count,
         clipped_draws=clip_a + clip_b + clip_c,
         balance_adjustments=adjustments,
         stubs_dropped=int(len(slots) - 2 * half),
@@ -591,22 +583,16 @@ def simulate_crawl(g: DirectedGraph, cfg: CrawlConfig) -> CrawlOutcome:
     else:
         universe = np.flatnonzero(discovered)
 
-    fetched_nodes = np.flatnonzero(fetched_mask)
-    tgts = gather_neighbors(g.fwd_offsets, g.fwd_targets, fetched_nodes).astype(
-        np.int64
-    )
-    srcs = np.repeat(fetched_nodes, g.out_degrees[fetched_nodes])
+    srcs, tgts = g.fwd_rows, g.fwd_targets
+    keep = fetched_mask[srcs]
     if cfg.frontier_mode is FrontierMode.FETCHED_ONLY:
-        keep = fetched_mask[tgts]
-        srcs, tgts = srcs[keep], tgts[keep]
-    su = np.searchsorted(universe, srcs)
-    sv = np.searchsorted(universe, tgts)
+        keep &= fetched_mask[tgts]
+    su = np.searchsorted(universe, srcs[keep])
+    sv = np.searchsorted(universe, tgts[keep])
     orig = (
         g.original_ids[universe] if g.original_ids is not None else universe.copy()
     )
-    observed = DirectedGraph.from_edges(
-        len(universe), su, sv, original_ids=orig, assume_clean=True
-    )
+    observed = DirectedGraph.from_edges(len(universe), su, sv, original_ids=orig)
     return CrawlOutcome(
         observed=observed,
         fetched=np.array(fetch_order, dtype=np.int64),

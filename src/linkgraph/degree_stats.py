@@ -22,7 +22,7 @@ from .errors import (
     PowerLawFitError,
     UndefinedStatisticError,
 )
-from .graph import DirectedGraph, undirected_view
+from .graph import DirectedGraph, exact_product_sum, undirected_view
 
 # Fixed plausibility threshold for the KS goodness flag.
 KS_PLAUSIBLE_THRESHOLD = 0.05
@@ -145,21 +145,12 @@ class DegreeSummary:
     note: str | None = None
 
 
-def _moment_sums(h: DegreeHistogram) -> tuple[int, int]:
-    """Exact integer (sum k*c, sum k^2*c) using Python arbitrary precision."""
-    s1 = 0
-    s2 = 0
-    for d, c in zip(h.degrees.tolist(), h.counts.tolist()):
-        s1 += d * c
-        s2 += d * d * c
-    return s1, s2
-
-
 def summarize(h: DegreeHistogram) -> DegreeSummary:
     if h.total_nodes == 0:
         raise UndefinedStatisticError("summary of an empty histogram")
     n = h.total_nodes
-    s1, s2 = _moment_sums(h)
+    s1 = exact_product_sum(h.degrees, h.counts)
+    s2 = exact_product_sum(h.degrees, h.degrees, h.counts)
     mean = s1 / n
     var = s2 / n - mean * mean
     std = math.sqrt(max(var, 0.0))
@@ -171,17 +162,6 @@ def summarize(h: DegreeHistogram) -> DegreeSummary:
     return DegreeSummary(mean, h.max_degree, std, kappa, n)
 
 
-def _exact_product_sum(a: np.ndarray, b: np.ndarray) -> int:
-    """Exact sum(a*b) for int64 arrays, falling back to Python ints when
-    the int64 accumulator could overflow."""
-    if len(a) == 0:
-        return 0
-    bound = int(np.abs(a).max()) * int(np.abs(b).max()) * len(a)
-    if bound < 2**62:
-        return int(np.sum(a * b, dtype=np.int64))
-    return sum(int(x) * int(y) for x, y in zip(a.tolist(), b.tolist()) if x and y)
-
-
 def crossed_heterogeneity(g: DirectedGraph) -> float:
     """Mixed second-moment ratio sum(k_in*k_out) / sum(k_in) across nodes."""
     kin = np.asarray(g.in_degrees, dtype=np.int64)
@@ -189,7 +169,7 @@ def crossed_heterogeneity(g: DirectedGraph) -> float:
     denom = int(kin.sum())
     if denom == 0:
         raise UndefinedStatisticError("crossed heterogeneity of an edgeless graph")
-    return _exact_product_sum(kin, kout) / denom
+    return exact_product_sum(kin, kout) / denom
 
 
 # -- truncated discrete power-law model --------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import math
 import struct
 from array import array
 from dataclasses import dataclass
@@ -120,14 +121,9 @@ class DirectedGraph:
         src: np.ndarray,
         dst: np.ndarray,
         original_ids: np.ndarray | None = None,
-        assume_clean: bool = False,
     ) -> "DirectedGraph":
-        """Build a graph from dense-id edge arrays.
-
-        Self-loops and duplicate edges are removed unless the caller
-        guarantees the input is already a simple graph via
-        ``assume_clean``.
-        """
+        """Build a graph from dense-id edge arrays; self-loops and
+        duplicate edges are dropped."""
         n = int(node_count)
         if n > _MAX_NODES:
             raise ValueError(f"node count {n} exceeds supported maximum {_MAX_NODES}")
@@ -138,12 +134,8 @@ class DirectedGraph:
             hi = max(int(src.max()), int(dst.max()))
             if lo < 0 or hi >= n:
                 raise ValueError("edge endpoint outside 0..node_count-1")
-        if not assume_clean:
-            keep = src != dst
-            src, dst = src[keep], dst[keep]
-            keys = src * n + dst
-            keys = np.unique(keys)
-            src, dst = keys // n, keys % n
+        keep = src != dst
+        src, dst = src[keep], dst[keep]
         fwd_off, fwd_tgt = _csr_from_edges(n, src, dst)
         rev_off, rev_src = _csr_from_edges(n, dst, src)
         return cls(n, fwd_off, fwd_tgt, rev_off, rev_src, original_ids)
@@ -249,12 +241,7 @@ class UndirectedGraph:
         u, v = pairs[:, 0], pairs[:, 1]
         keep = u != v
         u, v = u[keep], v[keep]
-        lo, hi = (np.minimum(u, v), np.maximum(u, v))
-        keys = np.unique(lo * n + hi)
-        lo, hi = keys // n, keys % n
-        src = np.concatenate([lo, hi])
-        dst = np.concatenate([hi, lo])
-        off, tgt = _csr_from_edges(n, src, dst)
+        off, tgt = _csr_from_edges(n, np.concatenate([u, v]), np.concatenate([v, u]))
         return cls(n, off, tgt)
 
     @property
@@ -283,32 +270,45 @@ class UndirectedGraph:
 # -- CSR construction and shared array kernels ------------------------
 
 
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """Ascending distinct values of ``keys`` by one sort and an
+    adjacent-difference mask, which skips numpy's hashing ``unique``."""
+    keys = np.sort(keys)
+    if keys.size == 0:
+        return keys
+    keep = np.empty(keys.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
 def _csr_from_edges(n: int, src: np.ndarray, dst: np.ndarray):
-    """Sorted CSR (offsets, targets) for edges given by parallel arrays."""
+    """Sorted CSR (offsets, targets) of the distinct edges given by
+    parallel arrays: one sort of the ``src*n+dst`` keys orders the rows
+    and drops duplicates."""
     if src.size == 0:
         return np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int32)
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    counts = np.bincount(src, minlength=n)
+    keys = sorted_unique(np.asarray(src, dtype=np.int64) * n + dst)
+    rows = keys // n
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return offsets, dst.astype(np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
+    return offsets, (keys - rows * n).astype(np.int32)
 
 
-def gather_neighbors(offsets: np.ndarray, targets: np.ndarray, frontier: np.ndarray) -> np.ndarray:
-    """Concatenate the adjacency rows of all ``frontier`` nodes.
-
-    Vectorized multi-slice gather; the workhorse of frontier-based
-    traversals.
-    """
-    counts = offsets[frontier + 1] - offsets[frontier]
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=targets.dtype)
-    starts = np.repeat(offsets[frontier], counts)
-    back = np.repeat(np.cumsum(counts) - counts, counts)
-    idx = starts + (np.arange(total, dtype=np.int64) - back)
-    return targets[idx]
+def exact_product_sum(*factors: np.ndarray) -> int:
+    """Exact ``sum(f1 * f2 * ...)`` over parallel integer arrays: in
+    int64 when ``len * prod(max|f|)`` proves it cannot overflow, in
+    Python integers otherwise."""
+    factors = [np.asarray(f, dtype=np.int64) for f in factors]
+    bound = len(factors[0])
+    for f in factors:
+        bound *= max(-int(f.min(initial=0)), int(f.max(initial=0)))
+    if bound < 2**63:
+        prod = factors[0]
+        for f in factors[1:]:
+            prod = prod * f
+        return int(prod.sum())
+    return sum(math.prod(t) for t in zip(*(f.tolist() for f in factors)))
 
 
 def neighbor_value_sums(
@@ -369,25 +369,21 @@ def build_from_edge_list(source: EdgeListSource) -> tuple[DirectedGraph, IngestR
     s, d = s[keep], d[keep]
     self_loops = total - len(s)
 
-    ids = np.unique(np.concatenate([s, d])) if len(s) else np.empty(0, dtype=np.int64)
+    ids = sorted_unique(np.concatenate([s, d]))
     n = len(ids)
     if n > _MAX_NODES:
         raise EdgeListParseError(0, f"too many distinct node ids ({n})")
-    su = np.searchsorted(ids, s)
-    du = np.searchsorted(ids, d)
-    keys = np.unique(su * max(n, 1) + du)
-    duplicates = len(s) - len(keys)
-    su, du = keys // max(n, 1), keys % max(n, 1)
-
     original_ids = None
     if n and (ids[0] != 0 or ids[-1] != n - 1):
         original_ids = ids
-    graph = DirectedGraph.from_edges(n, su, du, original_ids, assume_clean=True)
+    graph = DirectedGraph.from_edges(
+        n, np.searchsorted(ids, s), np.searchsorted(ids, d), original_ids
+    )
     report = IngestReport(
         raw_lines=raw,
         skipped_lines=skipped,
         self_loops_removed=self_loops,
-        duplicates_removed=duplicates,
+        duplicates_removed=len(s) - graph.edge_count,
         nodes=n,
         edges=graph.edge_count,
     )
@@ -487,11 +483,9 @@ def load_cache(data: bytes) -> DirectedGraph:
 def undirected_view(g: DirectedGraph) -> UndirectedGraph:
     """Undirected projection: neighbors are the union of in- and
     out-neighbors, mutual pairs collapse to one edge."""
-    u = np.concatenate([g.fwd_rows, g.fwd_targets.astype(np.int64)])
-    v = np.concatenate([g.fwd_targets.astype(np.int64), g.fwd_rows])
-    pairs = np.stack([u, v], axis=1)
-    out = UndirectedGraph.from_pairs(g.node_count, pairs)
-    return UndirectedGraph(out.node_count, out.offsets, out.targets, g.original_ids)
+    u, v = g.fwd_rows, g.fwd_targets
+    off, tgt = _csr_from_edges(g.node_count, np.concatenate([u, v]), np.concatenate([v, u]))
+    return UndirectedGraph(g.node_count, off, tgt, g.original_ids)
 
 
 def induced_subgraph(
@@ -502,7 +496,7 @@ def induced_subgraph(
     Returns the subgraph and the sorted array mapping each new dense id
     back to the id it had in ``g``.
     """
-    nodes = np.unique(np.asarray(nodes, dtype=np.int64))
+    nodes = sorted_unique(np.asarray(nodes, dtype=np.int64))
     if nodes.size and (nodes[0] < 0 or nodes[-1] >= g.node_count):
         raise IndexError("subgraph node id out of range")
     member = np.zeros(g.node_count, dtype=bool)
@@ -512,5 +506,5 @@ def induced_subgraph(
     su = np.searchsorted(nodes, u[keep])
     dv = np.searchsorted(nodes, v[keep])
     orig = g.original_ids[nodes] if g.original_ids is not None else nodes.copy()
-    sub = DirectedGraph.from_edges(len(nodes), su, dv, orig, assume_clean=True)
+    sub = DirectedGraph.from_edges(len(nodes), su, dv, orig)
     return sub, nodes

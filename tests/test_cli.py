@@ -232,7 +232,17 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--gamma-in", "0.5"], ["--budget", "2", "--seed-count", "5"]],
+        [
+            ["--gamma-in", "0.5"],
+            ["--budget", "2", "--seed-count", "5"],
+            ["--lambda-in", "-1"],
+            ["--lambda-in", "nan"],
+            ["--lambda-out", "-1"],
+            ["--lambda-out", "nan"],
+            ["--budget-fraction", "-1"],
+            ["--budget-fraction", "3"],
+            ["--replicas", "-1"],
+        ],
     )
     def test_invalid_settings_are_usage_errors(self, flags, capsys):
         code, _, err = run(["simulate", "--n", "200", *flags], capsys)

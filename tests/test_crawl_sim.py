@@ -126,6 +126,41 @@ class TestGenerate:
         keys = u * g.node_count + v
         assert len(np.unique(keys)) == len(keys)
 
+    @pytest.mark.parametrize("target", [0.0, 0.3])
+    def test_every_requested_edge_accounted_for(self, target):
+        for seed in range(4):
+            cfg = GeneratorConfig(
+                node_count=1500,
+                in_law=ZetaDegreeLaw(2.1, 1, 150),
+                out_law=PoissonDegreeLaw(4.0),
+                target_reciprocity=target,
+                rng_seed=seed,
+            )
+            _, rep = generate(cfg)
+            assert rep.duplicates_discarded > 0
+            assert rep.requested_edges == (
+                rep.edge_count + rep.self_loops_discarded + rep.duplicates_discarded
+            )
+
+    def test_every_requested_edge_accounted_for_strict(self):
+        n = 1000
+        for seed in range(4):
+            cfg = GeneratorConfig(
+                node_count=n,
+                in_law=ExplicitDegreeLaw((4,) * n),
+                out_law=ExplicitDegreeLaw((4,) * n),
+                target_reciprocity=1.0,
+                rng_seed=seed,
+            )
+            _, rep = generate(cfg)
+            assert rep.requested_edges == (
+                rep.edge_count
+                + rep.self_loops_discarded
+                + rep.duplicates_discarded
+                + rep.conversion_shortfall
+                + rep.stubs_dropped // 2
+            )
+
     def test_deterministic_by_seed(self):
         cfg = GeneratorConfig(
             node_count=800,

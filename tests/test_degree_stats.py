@@ -17,6 +17,7 @@ from linkgraph import (
     select_fit_range,
     summarize,
 )
+from linkgraph.graph import exact_product_sum
 
 import oracles
 
@@ -86,6 +87,12 @@ class TestSummary:
         assert s.kappa == pytest.approx(oracles.kappa_direct(values))
         assert s.max_degree == max(values)
 
+    def test_kappa_exact_beyond_int64(self):
+        # sum k^2 c = 3 * 2**80 + 5 needs the Python-integer fallback
+        s = summarize(DegreeHistogram.from_mapping({2**40: 3, 1: 5}, Direction.IN))
+        assert s.kappa == (3 * 2**80 + 5) / (3 * 2**40 + 5)
+        assert s.mean == (3 * 2**40 + 5) / 8
+
     def test_all_zero_degrees_flags_kappa(self):
         s = summarize(hist_of([0, 0, 0]))
         assert s.kappa is None
@@ -114,6 +121,16 @@ class TestCrossedHeterogeneity:
         # node 0: k_in = k_out = n-1; leaves: 1 and 1
         want = ((n - 1) ** 2 + (n - 1)) / (2 * (n - 1))
         assert crossed_heterogeneity(g) == pytest.approx(want)
+
+    def test_exact_product_sum_beyond_int64(self):
+        a = np.array([2**40, -(2**41) + 1, 3, 0], dtype=np.int64)
+        b = np.array([2**30, 2**35, -7, 2**62], dtype=np.int64)
+        want = sum(int(x) * int(y) * int(x) for x, y in zip(a, b))
+        assert abs(want) > 2**63
+        assert exact_product_sum(a, b, a) == want
+        small = np.array([-3, 4, 5], dtype=np.int64)
+        assert exact_product_sum(small, small) == 50
+        assert exact_product_sum(small[:0], small[:0]) == 0
 
 
 class TestMle:

@@ -18,6 +18,7 @@ from linkgraph import (
     save_cache,
     undirected_view,
 )
+from linkgraph.graph import sorted_unique
 
 from conftest import TOY8_EDGES
 
@@ -240,6 +241,35 @@ def test_ingest_matches_set_semantics(case):
     ids = g.original_ids.tolist() if g.original_ids is not None else list(range(g.node_count))
     back = {(ids[u], ids[v]) for u in range(g.node_count) for v in g.out_neighbors(u).tolist()}
     assert back == clean
+
+    # the same raw arrays, duplicates and self-loops included, straight
+    # into the CSR kernel, and its undirected projection
+    src = np.array([u for u, _ in edges], dtype=np.int64)
+    dst = np.array([v for _, v in edges], dtype=np.int64)
+    dg = DirectedGraph.from_edges(n, src, dst)
+    ug = undirected_view(dg)
+    assert dg.edge_count == len(clean)
+    for x in range(n):
+        assert dg.out_neighbors(x).tolist() == sorted(v for u, v in clean if u == x)
+        assert dg.in_neighbors(x).tolist() == sorted(u for u, v in clean if v == x)
+        both = {v for u, v in clean if u == x} | {u for u, v in clean if v == x}
+        assert ug.neighbors(x).tolist() == sorted(both)
+
+
+_NEAR_2_62 = st.one_of(
+    st.integers(-50, 50),
+    st.integers(2**62 - 3, 2**62 + 3),
+    st.integers(-(2**62) - 3, -(2**62) + 3),
+)
+
+
+@given(st.lists(_NEAR_2_62, max_size=60))
+@settings(max_examples=100, deadline=None)
+def test_sorted_unique_matches_numpy_unique(values):
+    keys = np.array(values, dtype=np.int64)
+    got = sorted_unique(keys)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.unique(keys))
 
 
 @given(edge_lists())
