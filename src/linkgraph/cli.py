@@ -259,6 +259,11 @@ def _workers_ok(args) -> None:
         raise _UsageError("--workers must be >= 1")
 
 
+def _kmin_ok(args) -> None:
+    if getattr(args, "kmin", None) is not None and args.kmin < 1:
+        raise _UsageError("--kmin must be >= 1")
+
+
 # -- commands ----------------------------------------------------------------
 
 
@@ -512,6 +517,7 @@ def main(argv=None) -> int:
     )
     try:
         _workers_ok(args)
+        _kmin_ok(args)
         np.seterr(all="ignore")
         return args.fn(args)
     except _UsageError as exc:

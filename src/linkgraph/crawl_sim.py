@@ -2,11 +2,13 @@
 simulation, and true-versus-observed bias reporting.
 
 The generator is a directed configuration model by stub matching.
-Reciprocity is injected by converting a target fraction of matched
-pairs into mutual pairs before the remaining stubs are placed as
-one-way edges; self-loops and duplicates arising from matching are
-discarded and reported, never resampled. A second constructor wires
-independently drawn one-way and mutual degree sequences, which is the
+Reciprocity is injected by reserving the mutual stubs up front: the
+stubs for the target number of mutual pairs are drawn from what each
+node can offer on both sides, wired by undirected stub matching, and
+only the stubs left over are placed as one-way edges. Self-loops and
+duplicates arising from matching are discarded and reported, never
+resampled. A second constructor wires independently drawn one-way and
+mutual degree sequences with the same two matchers, which is the
 uncorrelated null for statistics over the reciprocal decomposition.
 
 Crawls only follow out-links: a simulated crawler cannot navigate
@@ -129,7 +131,10 @@ class GeneratorConfig:
 
 @dataclass(frozen=True)
 class GenerationReport:
-    """Everything discarded or adjusted while realizing the request."""
+    """Everything discarded or adjusted while realizing the request.
+
+    Discards are counted in requested edges, so a mutual pair lost to
+    self-pairing or repetition counts two."""
 
     node_count: int
     requested_edges: int
@@ -202,97 +207,25 @@ def _balance_sequences(
     return abs(diff)
 
 
-def _mutual_conversion_stage(
-    rng: np.random.Generator,
-    kin: np.ndarray,
-    kout: np.ndarray,
-    target_pairs: int,
-    strict_mutual: bool,
-):
-    """Match stubs as usual but convert matches into mutual pairs when
-    the reverse stubs are available. Sequential by necessity: every
-    conversion consumes stubs out of the stream's future."""
-    n = len(kin)
-    out_stream = np.repeat(np.arange(n, dtype=np.int64), kout)
-    in_stream = np.repeat(np.arange(n, dtype=np.int64), kin)
-    rng.shuffle(out_stream)
-    rng.shuffle(in_stream)
-    out_list = out_stream.tolist()
-    in_list = in_stream.tolist()
-    ri = kin.tolist()
-    ro = kout.tolist()
-
-    mutual_u: list[int] = []
-    mutual_v: list[int] = []
-    mutual_keys: set[int] = set()
-    plain_u: list[int] = []
-    plain_v: list[int] = []
-    self_discard = 0
-    dup_discard = 0
-    shortfall = 0
-    placed = 0
-    po = 0
-    pi = 0
-    len_out = len(out_list)
-    len_in = len(in_list)
-    while placed < target_pairs and po < len_out:
-        u = out_list[po]
-        po += 1
-        if ro[u] <= 0:
-            continue  # stub already consumed by an earlier conversion
-        v = -1
-        while pi < len_in:
-            cand = in_list[pi]
-            pi += 1
-            if ri[cand] > 0:
-                v = cand
-                break
-        if v < 0:
-            break
-        if u == v:
-            ro[u] -= 1
-            ri[u] -= 1
-            self_discard += 1
-            continue
-        key = u * n + v if u < v else v * n + u
-        if key in mutual_keys:
-            ro[u] -= 1
-            ri[v] -= 1
-            dup_discard += 1
-            continue
-        if ri[u] > 0 and ro[v] > 0:
-            ro[u] -= 1
-            ri[v] -= 1
-            ri[u] -= 1
-            ro[v] -= 1
-            mutual_u.append(u)
-            mutual_v.append(v)
-            mutual_keys.add(key)
-            placed += 1
-        else:
-            ro[u] -= 1
-            ri[v] -= 1
-            shortfall += 1
-            if not strict_mutual:
-                plain_u.append(u)
-                plain_v.append(v)
-            # strict mode (target 1.0) drops the one-way match instead
-
-    stats = {
-        "self": self_discard,
-        "dup": dup_discard,
-        "shortfall": shortfall,
-        "placed": placed,
-        "dropped_matches": shortfall if strict_mutual else 0,
-    }
+def _match_undirected(rng: np.random.Generator, deg: np.ndarray):
+    """Undirected stub matching: shuffle the stubs of ``deg`` and pair
+    adjacent slots. Self-pairs and repeated pairs are dropped; returns
+    the kept pairs as ``(lo, hi)`` with ``lo < hi``, then the number of
+    self pairs, of duplicate pairs, and of unpaired stubs (0 or 1)."""
+    n = len(deg)
+    slots = np.repeat(np.arange(n, dtype=np.int64), deg)
+    rng.shuffle(slots)
+    half = len(slots) // 2
+    a, b = slots[: 2 * half : 2], slots[1 : 2 * half : 2]
+    keep = a != b
+    a, b = a[keep], b[keep]
+    pair_keys = sorted_unique(np.minimum(a, b) * n + np.maximum(a, b))
     return (
-        np.array(mutual_u, dtype=np.int64),
-        np.array(mutual_v, dtype=np.int64),
-        np.array(plain_u, dtype=np.int64),
-        np.array(plain_v, dtype=np.int64),
-        np.array(ri, dtype=np.int64),
-        np.array(ro, dtype=np.int64),
-        stats,
+        pair_keys // n,
+        pair_keys % n,
+        int(half - len(a)),
+        int(len(a) - len(pair_keys)),
+        int(len(slots) - 2 * half),
     )
 
 
@@ -312,10 +245,17 @@ def _match_directed(rng: np.random.Generator, rem_in: np.ndarray, rem_out: np.nd
 def generate(cfg: GeneratorConfig) -> tuple[DirectedGraph, GenerationReport]:
     """Directed configuration model with a reciprocity target.
 
+    The ``round(target * edges / 2)`` mutual pairs take their stubs
+    first, sampled without replacement from ``min(k_in, k_out)`` stubs
+    per node and paired by undirected stub matching; the remaining
+    in- and out-stubs are matched as one-way edges. Mutual pairs lost
+    to self-pairing or repetition are discarded and reported, never
+    re-drawn; ``conversion_shortfall`` is always 0.
+
     Raises :class:`GenerationError` when the target is infeasible for
     the drawn sequences (the message carries the maximum feasible
     fraction). At target 1.0 every placed edge is mutual; unmatched
-    leftovers are dropped and reported.
+    leftovers are dropped and reported as ``stubs_dropped``.
     """
     if not 0.0 <= cfg.target_reciprocity <= 1.0:
         raise GenerationError("target_reciprocity must lie in [0, 1]")
@@ -335,7 +275,8 @@ def generate(cfg: GeneratorConfig) -> tuple[DirectedGraph, GenerationReport]:
     total = int(kin.sum())
 
     target_pairs = int(round(cfg.target_reciprocity * total / 2.0))
-    feasible_pairs = int(np.minimum(kin, kout).sum()) // 2
+    offer = np.minimum(kin, kout)
+    feasible_pairs = int(offer.sum()) // 2
     if target_pairs > feasible_pairs:
         max_frac = 2.0 * feasible_pairs / total if total else 0.0
         raise GenerationError(
@@ -343,26 +284,23 @@ def generate(cfg: GeneratorConfig) -> tuple[DirectedGraph, GenerationReport]:
             f"sequences; maximum feasible fraction is {max_frac:.4f}"
         )
 
-    strict = cfg.target_reciprocity == 1.0
-    if target_pairs > 0:
-        mu, mv, pu, pv, rem_in, rem_out, st = _mutual_conversion_stage(
-            rng, kin, kout, target_pairs, strict
-        )
-    else:
-        mu = mv = pu = pv = np.empty(0, dtype=np.int64)
-        rem_in, rem_out = kin.copy(), kout.copy()
-        st = {"self": 0, "dup": 0, "shortfall": 0, "placed": 0, "dropped_matches": 0}
+    stubs = np.repeat(np.arange(n, dtype=np.int64), offer)
+    picked = rng.choice(stubs, size=2 * target_pairs, replace=False)
+    m = np.bincount(picked, minlength=n)
+    lo, hi, self_m, dup_m, _ = _match_undirected(rng, m)
+    kin -= m
+    kout -= m
 
     stubs_dropped = 0
-    if strict:
+    if cfg.target_reciprocity == 1.0:
         du = dv = np.empty(0, dtype=np.int64)
-        self_b = 0
-        stubs_dropped = int(rem_in.sum() + rem_out.sum())
+        self_d = 0
+        stubs_dropped = int(kin.sum() + kout.sum())
     else:
-        du, dv, self_b = _match_directed(rng, rem_in, rem_out)
+        du, dv, self_d = _match_directed(rng, kin, kout)
 
-    all_u = np.concatenate([mu, mv, pu, du])
-    all_v = np.concatenate([mv, mu, pv, dv])
+    all_u = np.concatenate([lo, hi, du])
+    all_v = np.concatenate([hi, lo, dv])
     graph = DirectedGraph.from_edges(n, all_u, all_v)
 
     realized = None
@@ -375,10 +313,10 @@ def generate(cfg: GeneratorConfig) -> tuple[DirectedGraph, GenerationReport]:
         target_reciprocity=cfg.target_reciprocity,
         realized_reciprocity=realized,
         mutual_target_pairs=target_pairs,
-        mutual_pairs_placed=st["placed"],
-        conversion_shortfall=st["shortfall"],
-        self_loops_discarded=st["self"] + self_b,
-        duplicates_discarded=st["dup"] + len(all_u) - graph.edge_count,
+        mutual_pairs_placed=int(len(lo)),
+        conversion_shortfall=0,
+        self_loops_discarded=2 * self_m + self_d,
+        duplicates_discarded=2 * dup_m + len(all_u) - graph.edge_count,
         clipped_draws=clip_in + clip_out,
         balance_adjustments=adjustments,
         stubs_dropped=stubs_dropped,
@@ -420,19 +358,7 @@ def generate_decomposed(
         qr[rng.integers(0, n)] += 1
         adjustments += 1
 
-    # mutual layer: undirected stub matching on qr
-    slots = np.repeat(np.arange(n, dtype=np.int64), qr)
-    rng.shuffle(slots)
-    half = len(slots) // 2
-    a, b = slots[: 2 * half : 2], slots[1 : 2 * half : 2]
-    keep = a != b
-    self_m = int(len(a) - keep.sum())
-    a, b = a[keep], b[keep]
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    pair_keys = sorted_unique(lo * n + hi)
-    dup_m = int(len(lo) - len(pair_keys))
-    lo, hi = pair_keys // n, pair_keys % n
-
+    lo, hi, self_m, dup_m, odd = _match_undirected(rng, qr)
     du, dv, self_d = _match_directed(rng, qin, qout)
 
     all_u = np.concatenate([lo, hi, du])
@@ -447,14 +373,14 @@ def generate_decomposed(
         edge_count=graph.edge_count,
         target_reciprocity=None,
         realized_reciprocity=realized,
-        mutual_target_pairs=half,
+        mutual_target_pairs=int(qr.sum()) // 2,
         mutual_pairs_placed=int(len(lo)),
         conversion_shortfall=0,
-        self_loops_discarded=self_m + self_d,
-        duplicates_discarded=dup_m + len(all_u) - graph.edge_count,
+        self_loops_discarded=2 * self_m + self_d,
+        duplicates_discarded=2 * dup_m + len(all_u) - graph.edge_count,
         clipped_draws=clip_a + clip_b + clip_c,
         balance_adjustments=adjustments,
-        stubs_dropped=int(len(slots) - 2 * half),
+        stubs_dropped=odd,
     )
     return graph, report
 

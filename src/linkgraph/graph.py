@@ -331,8 +331,10 @@ def build_from_edge_list(source: EdgeListSource) -> tuple[DirectedGraph, IngestR
     Each data line holds two non-negative integers ``src dst``. Blank
     lines and lines starting with ``#`` are skipped. Paths ending in
     gzip data (sniffed by magic bytes, not extension) are decompressed
-    transparently. Self-loops and duplicate edges are removed; the
-    returned report accounts for every input line.
+    transparently. Files are read as UTF-8: a data line holding other
+    bytes raises :class:`EdgeListParseError` naming that line, while a
+    comment line is skipped whatever it holds. Self-loops and duplicate
+    edges are removed; the returned report accounts for every input line.
     """
     src = array("q")
     dst = array("q")
@@ -346,20 +348,22 @@ def build_from_edge_list(source: EdgeListSource) -> tuple[DirectedGraph, IngestR
             continue
         parts = stripped.split()
         if len(parts) != 2:
-            raise EdgeListParseError(
-                lineno, f"expected two whitespace-separated integers, got {stripped!r}"
+            raise _line_error(
+                lineno, "expected two whitespace-separated integers, got", stripped
             )
         try:
             u = int(parts[0])
             v = int(parts[1])
+            src.append(u)
+            dst.append(v)
         except ValueError:
+            raise _line_error(lineno, "non-integer node id in", stripped) from None
+        except OverflowError:
             raise EdgeListParseError(
-                lineno, f"non-integer node id in {stripped!r}"
+                lineno, f"node id outside the 64-bit range in {stripped!r}"
             ) from None
         if u < 0 or v < 0:
             raise EdgeListParseError(lineno, f"negative node id in {stripped!r}")
-        src.append(u)
-        dst.append(v)
 
     s = np.asarray(src, dtype=np.int64)
     d = np.asarray(dst, dtype=np.int64)
@@ -390,16 +394,29 @@ def build_from_edge_list(source: EdgeListSource) -> tuple[DirectedGraph, IngestR
     return graph, report
 
 
+def _line_error(lineno: int, problem: str, line: str) -> EdgeListParseError:
+    """The parse error for one data line, naming a line that holds bytes
+    which are not UTF-8 (decoded as lone surrogates) as such."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        return EdgeListParseError(lineno, f"not UTF-8 text: {line!r}")
+    return EdgeListParseError(lineno, f"{problem} {line!r}")
+
+
 def _iter_lines(source: EdgeListSource) -> Iterator[tuple[int, str]]:
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
             head = fh.read(2)
             fh.seek(0)
+            # Bytes that are not UTF-8 decode to lone surrogates, which no
+            # integer token accepts: the data line holding them fails to
+            # parse under its own number, at no cost to clean lines.
             if head == b"\x1f\x8b":
-                with gzip.open(fh, "rt", encoding="utf-8") as gz:
+                with gzip.open(fh, "rt", encoding="utf-8", errors="surrogateescape") as gz:
                     yield from enumerate(gz, start=1)
             else:
-                text = io.TextIOWrapper(fh, encoding="utf-8")
+                text = io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape")
                 yield from enumerate(text, start=1)
         return
     if hasattr(source, "read"):

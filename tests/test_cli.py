@@ -58,6 +58,19 @@ class TestIngest:
         assert code == 3
         assert "line 1" in err
 
+    @pytest.mark.parametrize(
+        "raw",
+        [b"1 99999999999999999999\n", b"\xff\xfe1\x00 \x002\x00\n\x00"],
+        ids=["id-beyond-int64", "utf16-bom"],
+    )
+    def test_unparseable_bytes_are_input_errors(self, tmp_path, raw, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(raw)
+        code, _, err = run(["ingest", "--input", str(bad)], capsys)
+        assert code == 3
+        assert err.startswith("input error: line 1:")
+        assert len(err.splitlines()) == 1
+
 
 class TestBowtie:
     def test_toy_fixture_percentages(self, toy_cache, capsys):
@@ -126,6 +139,17 @@ class TestDegrees:
         assert doc["in"]["kappa"] == 1.0
         assert doc["in"]["fit"] is None
         assert doc["in"]["fit_error"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["degrees", "--kmin", "0"], ["degrees", "--kmin", "-3"], ["recip", "--kmin", "-1"]],
+    )
+    def test_kmin_below_one_is_usage_error(self, edge_file, argv, capsys):
+        code, out, err = run([*argv, "--input", str(edge_file)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:")
+        assert len(err.splitlines()) == 1
 
     def test_all_directions(self, edge_file, tmp_path, capsys):
         out_dir = tmp_path / "deg"

@@ -126,17 +126,21 @@ class TestGenerate:
         keys = u * g.node_count + v
         assert len(np.unique(keys)) == len(keys)
 
-    @pytest.mark.parametrize("target", [0.0, 0.3])
+    @pytest.mark.parametrize("target", [0.0, 0.3, pytest.param(None, id="decomposed")])
     def test_every_requested_edge_accounted_for(self, target):
+        in_law, out_law = ZetaDegreeLaw(2.1, 1, 150), PoissonDegreeLaw(4.0)
         for seed in range(4):
-            cfg = GeneratorConfig(
-                node_count=1500,
-                in_law=ZetaDegreeLaw(2.1, 1, 150),
-                out_law=PoissonDegreeLaw(4.0),
-                target_reciprocity=target,
-                rng_seed=seed,
-            )
-            _, rep = generate(cfg)
+            if target is None:  # mutual degrees drawn from the in-law
+                _, rep = generate_decomposed(1500, in_law, out_law, in_law, rng_seed=seed)
+            else:
+                cfg = GeneratorConfig(
+                    node_count=1500,
+                    in_law=in_law,
+                    out_law=out_law,
+                    target_reciprocity=target,
+                    rng_seed=seed,
+                )
+                _, rep = generate(cfg)
             assert rep.duplicates_discarded > 0
             assert rep.requested_edges == (
                 rep.edge_count + rep.self_loops_discarded + rep.duplicates_discarded
@@ -160,6 +164,15 @@ class TestGenerate:
                 + rep.conversion_shortfall
                 + rep.stubs_dropped // 2
             )
+
+    def test_mutual_target_is_met(self):
+        # heavy-tailed in-degrees: hubs must place many mutual pairs
+        in_law = ZetaDegreeLaw(2.1, 1, 3000)
+        out_law = PoissonDegreeLaw(law_mean(in_law))
+        for seed in range(6):
+            _, rep = generate(GeneratorConfig(30000, in_law, out_law, 0.3, seed))
+            assert rep.mutual_pairs_placed >= 0.99 * rep.mutual_target_pairs
+            assert abs(rep.realized_reciprocity - 0.3) < 0.01
 
     def test_deterministic_by_seed(self):
         cfg = GeneratorConfig(

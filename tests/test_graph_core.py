@@ -98,6 +98,25 @@ class TestIngest:
         with pytest.raises(EdgeListParseError, match="line 1"):
             build("a b\n")
 
+    def test_id_beyond_int64_raises(self):
+        with pytest.raises(EdgeListParseError, match="line 2: node id outside"):
+            build("0 1\n1 99999999999999999999\n")
+
+    @pytest.mark.parametrize("compress", [False, True])
+    @pytest.mark.parametrize(
+        "raw, line",
+        [
+            (b"\xff\xfe1\x00 \x002\x00\n\x00", 1),  # UTF-16 with a byte-order mark
+            (b"0 1\n1 2\xff\n", 2),
+        ],
+        ids=["utf16-bom", "bad-byte-on-line-2"],
+    )
+    def test_non_utf8_raises_with_line_number(self, tmp_path, raw, line, compress):
+        p = tmp_path / "edges.txt"
+        p.write_bytes(gzip.compress(raw) if compress else raw)
+        with pytest.raises(EdgeListParseError, match=f"line {line}: not UTF-8"):
+            build_from_edge_list(p)
+
     def test_negative_id_raises(self):
         with pytest.raises(EdgeListParseError, match="line 1"):
             build("-1 2\n")
