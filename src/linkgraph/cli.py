@@ -298,8 +298,7 @@ def _fit_or_error(hist, kmin):
     try:
         if kmin is not None:
             return mle_powerlaw(hist, k_min=kmin), None
-        k_min, _ = select_fit_range(hist)
-        return mle_powerlaw(hist, k_min=k_min), None
+        return select_fit_range(hist), None
     except PowerLawFitError as exc:
         return None, str(exc)
 

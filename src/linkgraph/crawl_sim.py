@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -29,7 +29,6 @@ from .components import BowTieClass, bowtie_decompose
 from .degree_stats import (
     Direction,
     degree_histogram,
-    mle_powerlaw,
     sample_zeta,
     select_fit_range,
     summarize,
@@ -151,21 +150,7 @@ class GenerationReport:
     stubs_dropped: int
 
     def to_dict(self) -> dict:
-        return {
-            "node_count": self.node_count,
-            "requested_edges": self.requested_edges,
-            "edge_count": self.edge_count,
-            "target_reciprocity": self.target_reciprocity,
-            "realized_reciprocity": self.realized_reciprocity,
-            "mutual_target_pairs": self.mutual_target_pairs,
-            "mutual_pairs_placed": self.mutual_pairs_placed,
-            "conversion_shortfall": self.conversion_shortfall,
-            "self_loops_discarded": self.self_loops_discarded,
-            "duplicates_discarded": self.duplicates_discarded,
-            "clipped_draws": self.clipped_draws,
-            "balance_adjustments": self.balance_adjustments,
-            "stubs_dropped": self.stubs_dropped,
-        }
+        return asdict(self)
 
 
 def _balance_sequences(
@@ -588,9 +573,7 @@ def graph_statistics(g: DirectedGraph) -> dict:
     hist_in = degree_histogram(g, Direction.IN)
     hist_out = degree_histogram(g, Direction.OUT)
     try:
-        k_min, k_max = select_fit_range(hist_in)
-        fit = mle_powerlaw(hist_in, k_min=k_min)
-        out["gamma_in"] = (fit.gamma, None)
+        out["gamma_in"] = (select_fit_range(hist_in).gamma, None)
     except PowerLawFitError as exc:
         out["gamma_in"] = (None, str(exc))
     for key, hist in (("kappa_in", hist_in), ("kappa_out", hist_out)):

@@ -6,15 +6,16 @@ integer sums; the tail exponent is fit by maximum likelihood on the
 truncated discrete zeta model with a bisection search on the score
 function, following the standard discrete-MLE recipe, and goodness is
 summarized by a Kolmogorov-Smirnov distance against the fitted model.
+The bisection runs on arrays, so the scan over lower cutoffs in
+``select_fit_range`` is one solve for all of them.
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import bisect
 from scipy.special import zeta as _hurwitz_zeta
 
 from .errors import (
@@ -30,7 +31,15 @@ KS_PLAUSIBLE_THRESHOLD = 0.05
 _GAMMA_LO = 1.0 + 1e-4
 _GAMMA_HI = 50.0
 _GAMMA_XTOL = 1e-6
+_GAMMA_RTOL = 4 * np.finfo(float).eps  # scipy.optimize.bisect's default
 _DIFF_STEP = 1e-5
+_CURV_STEP = 1e-4
+
+# Lower cutoffs select_fit_range tries: each leaves at least _MIN_TAIL
+# nodes and _MIN_DISTINCT distinct degrees above it.
+_MIN_TAIL = 50
+_MIN_DISTINCT = 10
+_MAX_CANDIDATES = 120
 
 
 class Direction(enum.Enum):
@@ -175,18 +184,11 @@ def crossed_heterogeneity(g: DirectedGraph) -> float:
 # -- truncated discrete power-law model --------------------------------
 
 
-def _zeta_range(gamma: float, lo: int, hi: int | None):
+def _zeta_range(gamma, lo, hi: int | None):
     """sum_{k=lo..hi} k^-gamma; hi=None means an unbounded tail."""
     if hi is None:
         return _hurwitz_zeta(gamma, lo)
     return _hurwitz_zeta(gamma, lo) - _hurwitz_zeta(gamma, hi + 1)
-
-
-def _log_norm(gamma: float, lo: int, hi: int | None) -> float:
-    z = _zeta_range(gamma, lo, hi)
-    if not np.all(np.isfinite(z)) or np.any(z <= 0):
-        raise FitConvergenceError(f"degenerate normalization at gamma={gamma}")
-    return float(np.log(z))
 
 
 @dataclass(frozen=True)
@@ -208,15 +210,7 @@ class PowerLawFit:
     powerlaw_plausible: bool
 
     def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "stderr": self.stderr,
-            "k_min": self.k_min,
-            "k_max_fit": self.k_max_fit,
-            "n_tail": self.n_tail,
-            "ks": self.ks,
-            "powerlaw_plausible": self.powerlaw_plausible,
-        }
+        return asdict(self)
 
 
 def mle_powerlaw(
@@ -233,64 +227,104 @@ def mle_powerlaw(
         raise PowerLawFitError("k_min must be >= 1")
     if k_max_fit is not None and k_max_fit < k_min:
         raise PowerLawFitError("empty fit range: k_max_fit < k_min")
+    (fit,) = _fit_tails(h, [k_min], k_max_fit)
+    if isinstance(fit, PowerLawFitError):
+        raise fit
+    return fit
 
-    mask = h.degrees >= k_min
+
+def _fit_tails(
+    h: DegreeHistogram, k_mins: list, k_max_fit: int | None
+) -> list[PowerLawFit | PowerLawFitError]:
+    """Fit the model at every lower cutoff in ``k_mins`` in one array solve.
+
+    Entry i is the fit at ``k_mins[i]``, or the error that fit raises.
+    The bisection takes the steps of ``scipy.optimize.bisect`` on arrays,
+    so every entry equals a one-cutoff solve bit for bit.
+    """
+    end = len(h.degrees)
     if k_max_fit is not None:
-        mask &= h.degrees <= k_max_fit
-    degs = h.degrees[mask].astype(np.float64)
-    counts = h.counts[mask].astype(np.float64)
-    n_tail = int(counts.sum())
-    if n_tail == 0:
-        raise PowerLawFitError("no observations in the fit range")
-    if len(degs) < 2:
-        raise PowerLawFitError(
-            "degenerate support: need at least two distinct degrees in range"
-        )
+        end = np.searchsorted(h.degrees, k_max_fit, side="right")
+    starts = np.searchsorted(h.degrees, k_mins)
+    # n_tail, sum_log and the KS cumsum are taken on each cutoff's own
+    # slice: a zero-padded matrix product would change the last bits
+    degs_of = [h.degrees[s:end].astype(np.float64) for s in starts]
+    counts_of = [h.counts[s:end].astype(np.float64) for s in starts]
+    n_tail = np.array([c.sum() for c in counts_of])
+    sum_log = np.array([np.dot(c, np.log(d)) for d, c in zip(degs_of, counts_of)])
+    lo = np.array(k_mins, dtype=np.float64)
+    results: list = [None] * len(k_mins)
+    alive = np.ones(len(k_mins), dtype=bool)
 
-    sum_log = float(np.dot(counts, np.log(degs)))
+    def fail(mask, error):  # error: an exception, or j -> exception
+        for j in np.flatnonzero(mask & alive):
+            results[j] = error(j) if callable(error) else error
+        alive[mask] = False
 
-    def dlog_z(gamma: float) -> float:
-        return (
-            _log_norm(gamma + _DIFF_STEP, k_min, k_max_fit)
-            - _log_norm(gamma - _DIFF_STEP, k_min, k_max_fit)
-        ) / (2 * _DIFF_STEP)
+    def log_norm(gamma, live):
+        z = _zeta_range(gamma, lo, k_max_fit)
+        fail(live & ~(np.isfinite(z) & (z > 0)), lambda j: FitConvergenceError(
+            f"degenerate normalization at gamma={float(gamma[j])}"
+        ))
+        return np.log(z)
 
-    def score(gamma: float) -> float:
-        return -sum_log - n_tail * dlog_z(gamma)
+    def score(gamma, live):
+        up = log_norm(gamma + _DIFF_STEP, live)
+        dlog_z = (up - log_norm(gamma - _DIFF_STEP, live)) / (2 * _DIFF_STEP)
+        return -sum_log - n_tail * dlog_z
 
-    s_lo = score(_GAMMA_LO)
-    s_hi = score(_GAMMA_HI)
-    if s_lo <= 0:
-        raise PowerLawFitError(
+    fail(n_tail == 0, PowerLawFitError("no observations in the fit range"))
+    fail(end - starts < 2, PowerLawFitError(
+        "degenerate support: need at least two distinct degrees in range"
+    ))
+    with np.errstate(all="ignore"):  # failed cutoffs carry on as garbage
+        s_lo = score(np.full(len(lo), _GAMMA_LO), alive)
+        s_hi = score(np.full(len(lo), _GAMMA_HI), alive)
+        fail(s_lo <= 0, PowerLawFitError(
             "tail heavier than exponent 1; no interior likelihood maximum"
-        )
-    if s_hi >= 0:
-        raise FitConvergenceError(
+        ))
+        fail(s_hi >= 0, FitConvergenceError(
             f"score does not change sign below gamma={_GAMMA_HI}"
+        ))
+
+        xa = np.full(len(lo), _GAMMA_LO)
+        gamma = np.full(len(lo), np.nan)
+        dm = _GAMMA_HI - _GAMMA_LO
+        running = alive.copy()
+        while running.any():
+            dm *= 0.5
+            xm = xa + dm
+            fm = score(xm, running)
+            running &= alive
+            xa = np.where(fm * s_lo >= 0, xm, xa)
+            done = (fm == 0) | (abs(dm) < _GAMMA_XTOL + _GAMMA_RTOL * np.abs(xm))
+            done &= running
+            gamma[done] = xm[done]
+            running &= ~done
+
+        # observed Fisher information: n * d^2/dgamma^2 log Z
+        up = log_norm(gamma + _CURV_STEP, alive)
+        mid = log_norm(gamma, alive)
+        down = log_norm(gamma - _CURV_STEP, alive)
+        d2 = (up - 2 * mid + down) / (_CURV_STEP * _CURV_STEP)
+        fail(d2 <= 0, FitConvergenceError(
+            "non-positive curvature at the fitted exponent"
+        ))
+        stderr = 1.0 / np.sqrt(n_tail * d2)
+
+    for j in np.flatnonzero(alive):
+        g, n = float(gamma[j]), int(n_tail[j])
+        ks = _ks_distance(degs_of[j], counts_of[j], n, g, k_mins[j], k_max_fit)
+        results[j] = PowerLawFit(
+            gamma=g,
+            stderr=float(stderr[j]),
+            k_min=int(k_mins[j]),
+            k_max_fit=None if k_max_fit is None else int(k_max_fit),
+            n_tail=n,
+            ks=ks,
+            powerlaw_plausible=bool(ks <= KS_PLAUSIBLE_THRESHOLD),
         )
-    gamma = float(bisect(score, _GAMMA_LO, _GAMMA_HI, xtol=_GAMMA_XTOL, maxiter=200))
-
-    # observed Fisher information: n * d^2/dgamma^2 log Z
-    h2 = 1e-4
-    d2 = (
-        _log_norm(gamma + h2, k_min, k_max_fit)
-        - 2 * _log_norm(gamma, k_min, k_max_fit)
-        + _log_norm(gamma - h2, k_min, k_max_fit)
-    ) / (h2 * h2)
-    if d2 <= 0:
-        raise FitConvergenceError("non-positive curvature at the fitted exponent")
-    stderr = 1.0 / math.sqrt(n_tail * d2)
-
-    ks = _ks_distance(degs, counts, n_tail, gamma, k_min, k_max_fit)
-    return PowerLawFit(
-        gamma=gamma,
-        stderr=stderr,
-        k_min=int(k_min),
-        k_max_fit=None if k_max_fit is None else int(k_max_fit),
-        n_tail=n_tail,
-        ks=ks,
-        powerlaw_plausible=bool(ks <= KS_PLAUSIBLE_THRESHOLD),
-    )
+    return results
 
 
 def _ks_distance(
@@ -312,51 +346,42 @@ def _ks_distance(
     return float(np.max(np.abs(emp_cdf - model_cdf)))
 
 
-def select_fit_range(
-    h: DegreeHistogram,
-    min_tail: int = 50,
-    min_distinct: int = 10,
-    max_candidates: int = 120,
-) -> tuple[int, int]:
-    """Pick the fit window by scanning lower cutoffs for minimal KS.
+def select_fit_range(h: DegreeHistogram) -> PowerLawFit:
+    """The tail fit whose lower cutoff has the smallest KS distance.
 
     Candidate ``k_min`` values are the distinct positive degrees that
-    leave enough distinct values and tail mass above them; the winner
-    minimizes the KS distance of its own fit (smallest k_min on ties).
-    The upper bound is the maximum observed degree.
+    leave enough distinct values and tail mass above them, evenly
+    thinned to at most ``_MAX_CANDIDATES``. Every candidate is fit
+    unbounded above in one solve; the fit with the smallest KS distance
+    wins (smallest k_min on ties) and is returned as scored, so its
+    ``k_min`` and ``k_max_fit=None`` are the window its KS was taken on.
     """
     positive = h.degrees[h.degrees >= 1]
     if len(positive) < 2:
         raise PowerLawFitError("need at least two distinct positive degrees")
-    k_max = int(h.degrees[-1])
 
     counts_pos = h.counts[h.degrees >= 1]
     tail_from = np.cumsum(counts_pos[::-1])[::-1]
     distinct_from = np.arange(len(positive), 0, -1)
-    ok = (tail_from >= min_tail) & (distinct_from >= min_distinct)
+    ok = (tail_from >= _MIN_TAIL) & (distinct_from >= _MIN_DISTINCT)
     candidates = positive[ok]
     if len(candidates) == 0:
         # fall back to whatever lower cutoffs keep two distinct values
         candidates = positive[distinct_from >= 2]
     if len(candidates) == 0:
         raise PowerLawFitError("no viable lower cutoff for fitting")
-    if len(candidates) > max_candidates:
-        idx = np.unique(
-            np.linspace(0, len(candidates) - 1, max_candidates).astype(np.int64)
-        )
+    if len(candidates) > _MAX_CANDIDATES:
+        # more candidates than slots: the evenly spaced indices are distinct
+        idx = np.linspace(0, len(candidates) - 1, _MAX_CANDIDATES).astype(np.int64)
         candidates = candidates[idx]
 
     best = None
-    for km in candidates.tolist():
-        try:
-            fit = mle_powerlaw(h, k_min=int(km))
-        except PowerLawFitError:
-            continue
-        if best is None or fit.ks < best[0] - 1e-15:
-            best = (fit.ks, int(km))
+    for fit in _fit_tails(h, candidates.tolist(), None):
+        if isinstance(fit, PowerLawFit) and (best is None or fit.ks < best.ks - 1e-15):
+            best = fit
     if best is None:
         raise PowerLawFitError("no candidate cutoff produced a valid fit")
-    return best[1], k_max
+    return best
 
 
 # -- sampling from the discrete model -----------------------------------

@@ -13,7 +13,7 @@ import io
 import math
 import struct
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Union
 
@@ -54,14 +54,7 @@ class IngestReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "raw_lines": self.raw_lines,
-            "skipped_lines": self.skipped_lines,
-            "self_loops_removed": self.self_loops_removed,
-            "duplicates_removed": self.duplicates_removed,
-            "nodes": self.nodes,
-            "edges": self.edges,
-        }
+        return asdict(self)
 
 
 class DirectedGraph:
@@ -328,13 +321,14 @@ def neighbor_value_sums(
 def build_from_edge_list(source: EdgeListSource) -> tuple[DirectedGraph, IngestReport]:
     """Parse a whitespace-separated edge list into a compacted graph.
 
-    Each data line holds two non-negative integers ``src dst``. Blank
-    lines and lines starting with ``#`` are skipped. Paths ending in
-    gzip data (sniffed by magic bytes, not extension) are decompressed
-    transparently. Files are read as UTF-8: a data line holding other
-    bytes raises :class:`EdgeListParseError` naming that line, while a
-    comment line is skipped whatever it holds. Self-loops and duplicate
-    edges are removed; the returned report accounts for every input line.
+    Each data line holds two ids ``src dst``, each an ASCII ``[0-9]+``
+    token within the 64-bit range. Blank lines and lines starting with
+    ``#`` are skipped. Paths ending in gzip data (sniffed by magic
+    bytes, not extension) are decompressed transparently. Files are read
+    as UTF-8: a data line holding other bytes raises
+    :class:`EdgeListParseError` naming that line, while a comment line
+    is skipped whatever it holds. Self-loops and duplicate edges are
+    removed; the returned report accounts for every input line.
     """
     src = array("q")
     dst = array("q")
@@ -351,19 +345,15 @@ def build_from_edge_list(source: EdgeListSource) -> tuple[DirectedGraph, IngestR
             raise _line_error(
                 lineno, "expected two whitespace-separated integers, got", stripped
             )
+        if not (stripped.isascii() and parts[0].isdigit() and parts[1].isdigit()):
+            raise _line_error(lineno, "non-integer node id in", stripped)
         try:
-            u = int(parts[0])
-            v = int(parts[1])
-            src.append(u)
-            dst.append(v)
-        except ValueError:
-            raise _line_error(lineno, "non-integer node id in", stripped) from None
-        except OverflowError:
+            src.append(int(parts[0]))
+            dst.append(int(parts[1]))
+        except (OverflowError, ValueError):  # ValueError: beyond int()'s digit limit
             raise EdgeListParseError(
                 lineno, f"node id outside the 64-bit range in {stripped!r}"
             ) from None
-        if u < 0 or v < 0:
-            raise EdgeListParseError(lineno, f"negative node id in {stripped!r}")
 
     s = np.asarray(src, dtype=np.int64)
     d = np.asarray(dst, dtype=np.int64)

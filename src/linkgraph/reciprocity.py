@@ -63,11 +63,11 @@ def decompose(g: DirectedGraph) -> ReciprocalDecomposition:
             np.empty((0, 2), dtype=np.int64),
             np.empty((0, 2), dtype=np.int64),
         )
-    keys = u * n + v  # ascending: CSR rows are sorted
-    swapped = v * n + u
-    pos = np.searchsorted(keys, swapped)
-    pos[pos >= len(keys)] = len(keys) - 1
-    mutual = keys[pos] == swapped
+    keys = u * n + v  # ascending; u->v is mutual when v is in rev row u
+    rev_keys = g.rev_rows * n + g.rev_sources  # ascending too
+    pos = np.searchsorted(rev_keys, keys)
+    pos[pos >= len(rev_keys)] = len(rev_keys) - 1
+    mutual = rev_keys[pos] == keys
 
     q_r = np.bincount(u[mutual], minlength=n).astype(np.int64)
     q_in = g.in_degrees.astype(np.int64) - q_r

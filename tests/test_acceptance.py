@@ -422,8 +422,7 @@ def test_criterion_11_million_node_pipeline_within_budget():
     hist_in = degree_histogram(g, Direction.IN)
     summary = summarize(hist_in)
     assert summary.kappa > 100.0
-    k_min, k_max = select_fit_range(hist_in)
-    fit = mle_powerlaw(hist_in, k_min=k_min, k_max_fit=k_max)
+    fit = select_fit_range(hist_in)
     assert fit.gamma == pytest.approx(1.9, abs=0.1)
 
     assert crossed_one_point(g) > 0.0

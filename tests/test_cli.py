@@ -60,8 +60,12 @@ class TestIngest:
 
     @pytest.mark.parametrize(
         "raw",
-        [b"1 99999999999999999999\n", b"\xff\xfe1\x00 \x002\x00\n\x00"],
-        ids=["id-beyond-int64", "utf16-bom"],
+        [
+            b"1 99999999999999999999\n",
+            b"\xff\xfe1\x00 \x002\x00\n\x00",
+            "\u0661 \u0662\n".encode(),
+        ],
+        ids=["id-beyond-int64", "utf16-bom", "arabic-indic-digits"],
     )
     def test_unparseable_bytes_are_input_errors(self, tmp_path, raw, capsys):
         bad = tmp_path / "bad.txt"
@@ -349,3 +353,16 @@ def test_console_script_help():
     )
     assert proc.returncode == 0
     assert "ingest" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # every CLI process pays for what the package imports
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, linkgraph.cli; print('scipy.optimize' in sys.modules)"],
+        cwd=Path(__file__).parents[1] / "src",
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

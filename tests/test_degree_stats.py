@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import bisect
 from scipy.special import zeta as hurwitz
 
 from linkgraph import (
@@ -17,6 +18,7 @@ from linkgraph import (
     select_fit_range,
     summarize,
 )
+from linkgraph import degree_stats as ds
 from linkgraph.graph import exact_product_sum
 
 import oracles
@@ -213,17 +215,15 @@ class TestSelectFitRange:
         body = rng.integers(1, 50, size=30000)
         tail = sample_zeta(2.2, 30000, rng, k_min=50)
         h = hist_of(np.concatenate([body, tail]))
-        k_min, k_max = select_fit_range(h)
-        assert 40 <= k_min <= 70
-        assert k_max == int(h.max_degree)
-        fit = mle_powerlaw(h, k_min=k_min)
+        fit = select_fit_range(h)
+        assert 40 <= fit.k_min <= 70
+        assert fit.k_max_fit is None
         assert abs(fit.gamma - 2.2) < 0.15
 
     def test_pure_sample_selects_near_origin(self):
         rng = np.random.default_rng(14)
         h = hist_of(sample_zeta(2.5, 50000, rng))
-        k_min, _ = select_fit_range(h)
-        assert k_min <= 3
+        assert select_fit_range(h).k_min <= 3
 
     def test_single_distinct_degree_rejected(self):
         with pytest.raises(PowerLawFitError):
@@ -231,9 +231,77 @@ class TestSelectFitRange:
 
     def test_small_histogram_uses_fallback_window(self):
         # too little mass for the usual thresholds, but still fittable
-        k_min, k_max = select_fit_range(hist_of([1, 2, 3]))
-        assert k_min >= 1
-        assert k_max == 3
+        fit = select_fit_range(hist_of([1, 2, 3]))
+        assert fit.k_min >= 1
+        assert fit.k_max_fit is None
+
+    @pytest.mark.parametrize(
+        "seed,size,gamma,thin", [(15, 500, 2.5, False), (16, 2000, 1.9, True)]
+    )
+    def test_returns_lowest_ks_single_fit(self, seed, size, gamma, thin):
+        # the batch solve must agree with one mle_powerlaw per candidate,
+        # with and without thinning the candidates
+        rng = np.random.default_rng(seed)
+        values = np.concatenate(
+            [rng.integers(1, 30, size=size), sample_zeta(gamma, size, rng, k_min=30)]
+        )
+        h = hist_of(values)
+        tail_from = np.cumsum(h.counts[::-1])[::-1]
+        distinct_from = np.arange(len(h.degrees), 0, -1)
+        ok = (h.degrees >= 1) & (tail_from >= ds._MIN_TAIL)
+        candidates = h.degrees[ok & (distinct_from >= ds._MIN_DISTINCT)]
+        assert (len(candidates) > ds._MAX_CANDIDATES) == thin
+        if thin:
+            idx = np.linspace(0, len(candidates) - 1, ds._MAX_CANDIDATES)
+            candidates = candidates[idx.astype(np.int64)]
+        best = None
+        for k_min in candidates.tolist():
+            try:
+                fit = mle_powerlaw(h, k_min=k_min)
+            except PowerLawFitError:
+                continue
+            if best is None or fit.ks < best.ks - 1e-15:
+                best = fit
+        assert select_fit_range(h) == best
+
+
+def _bisect_reference_gamma(h, k_min, k_max_fit=None):
+    """The exponent solved one cutoff at a time with scipy's bisect on
+    the score function, as the scalar fit did."""
+    mask = h.degrees >= k_min
+    if k_max_fit is not None:
+        mask &= h.degrees <= k_max_fit
+    degs = h.degrees[mask].astype(np.float64)
+    counts = h.counts[mask].astype(np.float64)
+    n_tail = int(counts.sum())
+    sum_log = float(np.dot(counts, np.log(degs)))
+
+    def log_norm(gamma):
+        z = hurwitz(gamma, k_min)
+        if k_max_fit is not None:
+            z = z - hurwitz(gamma, k_max_fit + 1)
+        return float(np.log(z))
+
+    def score(gamma):
+        dlog_z = (log_norm(gamma + 1e-5) - log_norm(gamma - 1e-5)) / (2 * 1e-5)
+        return -sum_log - n_tail * dlog_z
+
+    return float(bisect(score, 1.0 + 1e-4, 50.0, xtol=1e-6, maxiter=200))
+
+
+@pytest.mark.parametrize("k_max_fit", [None, 100, 400])
+@pytest.mark.parametrize("k_min", [1, 2, 5, 12])
+def test_gamma_equals_scipy_bisect(k_min, k_max_fit):
+    rng = np.random.default_rng(17)
+    samples = [
+        sample_zeta(2.3, 20000, rng),
+        sample_zeta(1.8, 5000, rng, cutoff=3000),
+        rng.geometric(0.1, size=8000),
+    ]
+    for values in samples:
+        h = hist_of(values)
+        fit = mle_powerlaw(h, k_min=k_min, k_max_fit=k_max_fit)
+        assert fit.gamma == _bisect_reference_gamma(h, k_min, k_max_fit)
 
 
 class TestSampleZeta:

@@ -98,6 +98,20 @@ class TestIngest:
         with pytest.raises(EdgeListParseError, match="line 1"):
             build("a b\n")
 
+    @pytest.mark.parametrize(
+        "line",
+        ["\u0661 \u0662", "1_0 2", "+5 2", "\uff11 2"],
+        ids=["arabic-indic", "underscore", "plus-sign", "fullwidth"],
+    )
+    def test_only_ascii_digit_ids(self, line):
+        # int() would read each of these as a number
+        with pytest.raises(EdgeListParseError, match="line 2: non-integer node id"):
+            build(f"0 1\n{line}\n")
+
+    def test_id_beyond_int_digit_limit_raises(self):
+        with pytest.raises(EdgeListParseError, match="line 1: node id outside"):
+            build("1" * 5000 + " 2\n")
+
     def test_id_beyond_int64_raises(self):
         with pytest.raises(EdgeListParseError, match="line 2: node id outside"):
             build("0 1\n1 99999999999999999999\n")
