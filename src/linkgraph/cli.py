@@ -78,6 +78,10 @@ class _UsageError(Exception):
     pass
 
 
+class _InputError(Exception):
+    pass
+
+
 def _env_key(long_opt: str) -> str:
     return ENV_PREFIX + long_opt.lstrip("-").replace("-", "_").upper()
 
@@ -228,6 +232,19 @@ def _outdir(args) -> Path | None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _out_ok(args) -> None:
+    """A --out that names a file or lies under one fails before any work;
+    the directory itself is made only when the command writes to it."""
+    if args.out is None:
+        return
+    out = Path(args.out)
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise _UsageError(f"--out {out} is not a directory: {path} is a file")
+            return
 
 
 def _write(out: Path | None, name: str, text: str) -> None:
@@ -490,7 +507,10 @@ def cmd_report(args) -> int:
     for path in sorted(base.glob("*.json")):
         if path.name == "report.json":
             continue
-        merged[path.stem] = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            merged[path.stem] = json.loads(path.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise _InputError(f"{path}: not a JSON document: {exc}") from None
     out = _outdir(args)
     text = export.json_text(merged)
     sys.stdout.write(text)
@@ -517,12 +537,20 @@ def main(argv=None) -> int:
     try:
         _workers_ok(args)
         _kmin_ok(args)
+        _out_ok(args)
         np.seterr(all="ignore")
         return args.fn(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (EdgeListParseError, CacheFormatError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (
+        _InputError,
+        EdgeListParseError,
+        CacheFormatError,
+        FileNotFoundError,
+        IsADirectoryError,
+        PermissionError,
+    ) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
     except (

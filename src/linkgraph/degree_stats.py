@@ -387,6 +387,7 @@ def select_fit_range(h: DegreeHistogram) -> PowerLawFit:
 # -- sampling from the discrete model -----------------------------------
 
 _TABLE_SPAN = 1_000_000
+_INT64_MAX = 2**63 - 1
 
 
 def sample_zeta(
@@ -444,7 +445,9 @@ def _tail_quantile(gamma: float, k_min: int, z_total: float, u: float) -> int:
         return lo - 1
     hi = lo * 2
     while surv(hi) > target:
-        lo, hi = hi, hi * 2
+        if hi >= _INT64_MAX:
+            raise ValueError("zeta draw beyond the int64 range: pass a cutoff")
+        lo, hi = hi, min(hi * 2, _INT64_MAX)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if surv(mid) > target:

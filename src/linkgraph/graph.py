@@ -11,8 +11,12 @@ from __future__ import annotations
 import gzip
 import io
 import math
+import os
+import re
 import struct
+import zlib
 from array import array
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Union
@@ -317,6 +321,14 @@ def neighbor_value_sums(
 
 # -- edge-list ingest --------------------------------------------------
 
+# The fast path reads decompressed bytes in pieces of about this size,
+# cut at a newline, so its per-byte temporaries stay small.
+_CHUNK_BYTES = 1 << 20
+_FAST_BYTES = b"0123456789 \t\n"
+_COMMENT_LINE = re.compile(rb"^[ \t]*#[^\n]*", re.MULTILINE)
+_MAX_FAST_DIGITS = 18  # 10**18 - 1 < 2**63: no such token overflows int64
+_GZIP_ERRORS = (EOFError, zlib.error, gzip.BadGzipFile)
+
 
 def build_from_edge_list(source: EdgeListSource) -> tuple[DirectedGraph, IngestReport]:
     """Parse a whitespace-separated edge list into a compacted graph.
@@ -324,64 +336,173 @@ def build_from_edge_list(source: EdgeListSource) -> tuple[DirectedGraph, IngestR
     Each data line holds two ids ``src dst``, each an ASCII ``[0-9]+``
     token within the 64-bit range. Blank lines and lines starting with
     ``#`` are skipped. Paths ending in gzip data (sniffed by magic
-    bytes, not extension) are decompressed transparently. Files are read
-    as UTF-8: a data line holding other bytes raises
+    bytes, not extension) are decompressed transparently; a corrupt or
+    truncated gzip stream raises :class:`EdgeListParseError`. Files are
+    read as UTF-8: a data line holding other bytes raises
     :class:`EdgeListParseError` naming that line, while a comment line
     is skipped whatever it holds. Self-loops and duplicate edges are
     removed; the returned report accounts for every input line.
+
+    Files whose bytes are all in the common grammar (digits, space, tab
+    and ``\n``; comment lines are ``#`` after spaces or tabs; two tokens
+    of at most 18 digits per data line) are parsed whole in numpy. Any
+    other file, and every in-memory source, goes through the line parser,
+    which gives the same result on the common grammar and is the spec
+    for everything else, errors included.
     """
-    src = array("q")
-    dst = array("q")
-    raw = 0
-    skipped = 0
-    for lineno, line in _iter_lines(source):
-        raw += 1
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            skipped += 1
-            continue
-        parts = stripped.split()
-        if len(parts) != 2:
-            raise _line_error(
-                lineno, "expected two whitespace-separated integers, got", stripped
-            )
-        if not (stripped.isascii() and parts[0].isdigit() and parts[1].isdigit()):
-            raise _line_error(lineno, "non-integer node id in", stripped)
-        try:
-            src.append(int(parts[0]))
-            dst.append(int(parts[1]))
-        except (OverflowError, ValueError):  # ValueError: beyond int()'s digit limit
-            raise EdgeListParseError(
-                lineno, f"node id outside the 64-bit range in {stripped!r}"
-            ) from None
-
-    s = np.asarray(src, dtype=np.int64)
-    d = np.asarray(dst, dtype=np.int64)
-    total = len(s)
-
+    # the line parser reads again from the start: a pipe cannot be re-read
+    regular = isinstance(source, (str, Path)) and os.path.isfile(source)
+    fast = _parse_fast(source) if regular else None
+    ids, raw = fast or _parse_lines(source)
+    del fast
+    total = len(ids) // 2
+    s, d = ids[0::2], ids[1::2]
     keep = s != d
     s, d = s[keep], d[keep]
-    self_loops = total - len(s)
+    del ids, keep
+    m = len(s)
 
-    ids = sorted_unique(np.concatenate([s, d]))
-    n = len(ids)
+    keys = np.concatenate([s, d])
+    del s, d
+    dense, uniq = _compact(keys)
+    del keys
+    n = len(uniq)
     if n > _MAX_NODES:
         raise EdgeListParseError(0, f"too many distinct node ids ({n})")
     original_ids = None
-    if n and (ids[0] != 0 or ids[-1] != n - 1):
-        original_ids = ids
-    graph = DirectedGraph.from_edges(
-        n, np.searchsorted(ids, s), np.searchsorted(ids, d), original_ids
-    )
+    if n and (uniq[0] != 0 or uniq[-1] != n - 1):
+        original_ids = uniq
+    graph = DirectedGraph.from_edges(n, dense[:m], dense[m:], original_ids)
     report = IngestReport(
         raw_lines=raw,
-        skipped_lines=skipped,
-        self_loops_removed=self_loops,
-        duplicates_removed=len(s) - graph.edge_count,
+        skipped_lines=raw - total,
+        self_loops_removed=total - m,
+        duplicates_removed=m - graph.edge_count,
         nodes=n,
         edges=graph.edge_count,
     )
     return graph, report
+
+
+def _compact(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ids ``0..n-1`` for ``keys`` in ascending key order, and the
+    ``n`` distinct keys: by a presence table when the keys are
+    non-negative and below ``len(keys)``, else by one argsort. The table
+    skips the sort, which took 3 of the 7.5 s of a 10.9M-edge dense-id
+    ingest. The dense ids are int32, so they are only meaningful for
+    ``n <= _MAX_NODES``."""
+    if keys.size == 0:
+        return keys, keys
+    hi = int(keys.max())
+    if int(keys.min()) >= 0 and hi < keys.size:
+        present = np.zeros(hi + 1, dtype=bool)
+        present[keys] = True
+        rank = np.cumsum(present, dtype=np.int32)
+        rank -= 1
+        return rank[keys], np.flatnonzero(present)
+    # np.unique(keys, return_inverse=True) does the same, but its intp
+    # inverse raised the 10.9M-edge ingest peak from 730 to 1090 MiB
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    uniq = keys[first]
+    del keys
+    dense = np.empty(order.size, dtype=np.int32)
+    dense[order] = np.cumsum(first, dtype=np.int32) - 1
+    return dense, uniq
+
+
+def _parse_fast(path: str | Path) -> tuple[np.ndarray, int] | None:
+    """``(ids, raw_lines)`` of a file in the common grammar, with ids
+    flattened as ``src, dst, src, ...``; None when any piece of it falls
+    outside that grammar or its gzip stream breaks, so that the line
+    parser reads it from the start."""
+    parts = []
+    raw = 0
+    try:
+        with _open_decompressed(path) as fh:
+            for chunk in _newline_chunks(fh):
+                raw += chunk.count(b"\n") + (not chunk.endswith(b"\n"))
+                ids = _parse_chunk(chunk)
+                if ids is None:
+                    return None
+                parts.append(ids)
+    except _GZIP_ERRORS:
+        return None  # the line parser names the line where the stream breaks
+    ids = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    return ids, raw
+
+
+def _newline_chunks(fh) -> Iterator[bytes]:
+    """The stream's bytes in pieces of whole lines; only the last piece
+    may lack its final newline."""
+    pending = []
+    while block := fh.read(_CHUNK_BYTES):
+        cut = block.rfind(b"\n") + 1
+        if cut == 0:
+            pending.append(block)
+            continue
+        yield b"".join([*pending, block[:cut]])
+        pending = [block[cut:]]
+    tail = b"".join(pending)
+    if tail:
+        yield tail
+
+
+def _parse_chunk(chunk: bytes) -> np.ndarray | None:
+    """Flattened ids of whole lines in the common grammar, or None."""
+    if b"\r" in chunk:  # a line break to the line parser
+        return None
+    if b"#" in chunk:
+        chunk = _COMMENT_LINE.sub(b"", chunk)
+    if chunk.translate(None, _FAST_BYTES):
+        return None
+    buf = np.frombuffer(chunk, dtype=np.uint8)
+    digit = np.zeros(buf.size + 2, dtype=bool)
+    np.greater(buf, ord(" "), out=digit[1:-1])  # only digits lie above the space
+    bounds = np.flatnonzero(digit[1:] != digit[:-1])
+    del digit
+    starts, ends = bounds[0::2], bounds[1::2]
+    if starts.size == 0:
+        return np.empty(0, dtype=np.int64)
+    if int((ends - starts).max()) > _MAX_FAST_DIGITS:
+        return None
+    # tokens on each line: the difference of the token counts before
+    # consecutive newlines, the part after the last newline included
+    before = np.searchsorted(starts, np.flatnonzero(buf == ord("\n")))
+    per_line = np.diff(before, prepend=0, append=starts.size)
+    if not np.all((per_line == 0) | (per_line == 2)):
+        return None
+    ids = np.fromstring(chunk, dtype=np.int64, sep=" ")
+    return ids if ids.size == starts.size else None
+
+
+def _parse_lines(source: EdgeListSource) -> tuple[np.ndarray, int]:
+    """``(ids, raw_lines)`` by the per-line grammar: the spec for every
+    input, and the parser of every input the fast path does not take."""
+    ids = array("q")
+    raw = 0
+    for raw, line in _iter_lines(source):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split()
+        if len(parts) != 2:
+            raise _line_error(
+                raw, "expected two whitespace-separated integers, got", stripped
+            )
+        if not (stripped.isascii() and parts[0].isdigit() and parts[1].isdigit()):
+            raise _line_error(raw, "non-integer node id in", stripped)
+        try:
+            ids.append(int(parts[0]))
+            ids.append(int(parts[1]))
+        except (OverflowError, ValueError):  # ValueError: beyond int()'s digit limit
+            raise EdgeListParseError(
+                raw, f"node id outside the 64-bit range in {stripped!r}"
+            ) from None
+    return np.asarray(ids, dtype=np.int64), raw
 
 
 def _line_error(lineno: int, problem: str, line: str) -> EdgeListParseError:
@@ -394,25 +515,36 @@ def _line_error(lineno: int, problem: str, line: str) -> EdgeListParseError:
     return EdgeListParseError(lineno, f"{problem} {line!r}")
 
 
+@contextmanager
+def _open_decompressed(path: str | Path) -> Iterator[io.BufferedIOBase]:
+    """The file as a binary stream, gunzipped when it starts with the
+    gzip magic bytes; sniffed without a seek, so a pipe reads whole."""
+    with open(path, "rb") as fh:
+        if fh.peek(2)[:2] == b"\x1f\x8b":
+            with gzip.GzipFile(fileobj=fh) as gz:
+                yield gz
+        else:
+            yield fh
+
+
 def _iter_lines(source: EdgeListSource) -> Iterator[tuple[int, str]]:
     if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            head = fh.read(2)
-            fh.seek(0)
-            # Bytes that are not UTF-8 decode to lone surrogates, which no
-            # integer token accepts: the data line holding them fails to
-            # parse under its own number, at no cost to clean lines.
-            if head == b"\x1f\x8b":
-                with gzip.open(fh, "rt", encoding="utf-8", errors="surrogateescape") as gz:
-                    yield from enumerate(gz, start=1)
-            else:
-                text = io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape")
-                yield from enumerate(text, start=1)
+        # Bytes that are not UTF-8 decode to lone surrogates, which no
+        # integer token accepts: the data line holding them fails to
+        # parse under its own number, at no cost to clean lines.
+        lineno = 0
+        try:
+            with _open_decompressed(source) as raw, io.TextIOWrapper(
+                raw, encoding="utf-8", errors="surrogateescape"
+            ) as text:
+                for lineno, line in enumerate(text, start=1):
+                    yield lineno, line
+        except _GZIP_ERRORS as exc:
+            raise EdgeListParseError(
+                lineno + 1, f"corrupt gzip stream: {exc}"
+            ) from None
         return
-    if hasattr(source, "read"):
-        yield from enumerate(source, start=1)  # type: ignore[arg-type]
-        return
-    yield from enumerate(source, start=1)
+    yield from enumerate(source, start=1)  # type: ignore[arg-type]
 
 
 def degrees(g: DirectedGraph, node: int) -> tuple[int, int]:

@@ -1,3 +1,4 @@
+import gzip
 import json
 import subprocess
 import sys
@@ -74,6 +75,54 @@ class TestIngest:
         assert code == 3
         assert err.startswith("input error: line 1:")
         assert len(err.splitlines()) == 1
+
+
+    @pytest.mark.parametrize("truncate", [True, False], ids=["truncated", "junk"])
+    def test_corrupt_gzip_is_input_error(self, tmp_path, truncate, capsys):
+        packed = gzip.compress(b"0 1\n" * 50_000)
+        bad = tmp_path / "bad.gz"
+        bad.write_bytes(packed[: len(packed) // 2] if truncate else b"\x1f\x8bjunk")
+        code, _, err = run(["ingest", "--input", str(bad)], capsys)
+        assert code == 3
+        assert err.startswith("input error: line ")
+        assert "corrupt gzip stream" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+    def test_input_from_a_pipe(self, edge_file, compress):
+        raw = edge_file.read_bytes()
+        proc = subprocess.run(
+            [sys.executable, "-m", "linkgraph.cli", "ingest", "--input", "/dev/stdin"],
+            cwd=Path(__file__).parents[1] / "src",
+            input=gzip.compress(raw) if compress else raw,
+            capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["ingest"] == {
+            "raw_lines": 6, "skipped_lines": 1, "self_loops_removed": 1,
+            "duplicates_removed": 1, "nodes": 3, "edges": 3,
+        }
+
+    def test_out_naming_a_file_is_usage_error(self, edge_file, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        for out in (taken, taken / "sub"):
+            code, stdout, err = run(
+                ["ingest", "--input", str(edge_file), "--out", str(out)], capsys
+            )
+            assert code == 2
+            assert stdout == ""
+            assert err.startswith("usage error: --out")
+            assert len(err.splitlines()) == 1
+
+    def test_input_error_leaves_no_out_dir(self, tmp_path, capsys):
+        out = tmp_path / "new" / "out"
+        code, _, err = run(
+            ["ingest", "--input", str(tmp_path / "missing.txt"), "--out", str(out)], capsys
+        )
+        assert code == 3
+        assert err.startswith("input error:")
+        assert not (tmp_path / "new").exists()
 
 
 class TestBowtie:
@@ -342,6 +391,17 @@ class TestReport:
     def test_missing_dir_is_input_error(self, tmp_path, capsys):
         code, _, _ = run(["report", "--dir", str(tmp_path / "void")], capsys)
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "raw", [b'{"a": 1', b"\xff\xfe{}"], ids=["malformed-json", "not-utf8"]
+    )
+    def test_unreadable_json_is_input_error(self, tmp_path, raw, capsys):
+        (tmp_path / "x.json").write_bytes(raw)
+        code, _, err = run(["report", "--dir", str(tmp_path)], capsys)
+        assert code == 3
+        assert err.startswith("input error:")
+        assert "x.json" in err
+        assert len(err.splitlines()) == 1
 
 
 def test_console_script_help():

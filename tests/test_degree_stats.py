@@ -342,6 +342,11 @@ class TestSampleZeta:
         with pytest.raises(ValueError):
             sample_zeta(1.0, 10, np.random.default_rng(0))
 
+    def test_tail_beyond_int64_asks_for_cutoff(self):
+        # gamma near 1 puts draws past 2**63 within reach of 20000 samples
+        with pytest.raises(ValueError, match="pass a cutoff"):
+            sample_zeta(1.1, 20000, np.random.default_rng(0), k_min=100)
+
 
 @given(
     st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=200)

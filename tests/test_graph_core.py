@@ -1,5 +1,7 @@
 import gzip
 import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from linkgraph import (
     CacheFormatError,
     DirectedGraph,
     EdgeListParseError,
+    LinkGraphError,
     UndirectedGraph,
     build_from_edge_list,
     degrees,
@@ -18,13 +21,55 @@ from linkgraph import (
     save_cache,
     undirected_view,
 )
+from linkgraph import graph as graph_module
 from linkgraph.graph import sorted_unique
 
 from conftest import TOY8_EDGES
 
 
+def _outcome(source):
+    try:
+        return build_from_edge_list(source)
+    except LinkGraphError as exc:
+        return exc
+
+
+def _assert_same_outcome(a, b):
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        assert (type(a), str(a)) == (type(b), str(b))
+        assert a.line_number == b.line_number
+    else:
+        assert a[0].same_structure(b[0])
+        assert a[1] == b[1]
+
+
 def build(text):
-    return build_from_edge_list(io.StringIO(text))
+    """Ingest ``text`` from a StringIO, a plain file and a gzip file:
+    the line parser reads the first, the vectorised path the files when
+    they are in its grammar. All three must give the same graph and
+    report, or the same error, which is then raised."""
+    raw = text.encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        plain, packed = Path(tmp) / "edges.txt", Path(tmp) / "edges.dat"
+        plain.write_bytes(raw)
+        packed.write_bytes(gzip.compress(raw))
+        first, *others = [_outcome(s) for s in (io.StringIO(text), plain, packed)]
+    for other in others:
+        _assert_same_outcome(first, other)
+    if isinstance(first, Exception):
+        raise first
+    return first
+
+
+def _fast_and_loop(path):
+    """The outcome of ingesting ``path``, after checking that the line
+    parser alone gives the same one."""
+    fast = _outcome(path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "_parse_fast", lambda path: None)
+        loop = _outcome(path)
+    _assert_same_outcome(fast, loop)
+    return fast
 
 
 class TestIngest:
@@ -68,6 +113,13 @@ class TestIngest:
         # edge 100 -> 7 becomes 1 -> 0
         assert g.has_edge(1, 0)
         assert g.has_edge(0, 2)
+
+    def test_small_ids_with_gaps_compacted(self):
+        # every id is below 2 * edges, so the presence table compacts them
+        g, _ = build("3 0\n0 3\n5 3\n")
+        assert g.node_count == 3
+        assert g.original_ids.tolist() == [0, 3, 5]
+        assert g.has_edge(1, 0) and g.has_edge(0, 1) and g.has_edge(2, 1)
 
     def test_dense_ids_keep_no_mapping(self):
         g, _ = build("0 1\n1 2\n2 0\n")
@@ -140,6 +192,79 @@ class TestIngest:
         assert g.node_count == 0
         assert g.edge_count == 0
         assert rep.balanced()
+
+    def test_corrupt_gzip_raises(self, tmp_path):
+        packed = gzip.compress(b"0 1\n" * 50_000)
+        p = tmp_path / "edges.gz"
+        for raw in (packed[: len(packed) // 2], b"\x1f\x8bjunk"):
+            p.write_bytes(raw)
+            with pytest.raises(EdgeListParseError, match="corrupt gzip stream"):
+                build_from_edge_list(p)
+
+
+class TestFastPath:
+    """Files the vectorised path takes, and files it hands to the line
+    parser: both must give the line parser's outcome exactly."""
+
+    @pytest.mark.parametrize(
+        "raw, fast",
+        [
+            (b"0 1\r\n1 2\r\n", False),  # CRLF
+            (b"0 1\r1 2\n", False),  # a lone CR is a line break
+            (b"# a\rb\n0 1\n", False),  # ... inside a comment too: line 2 is "b"
+            (b"# a \xff b\n\t # c\n0 1\n", True),
+            (b"0\x0b1\n1\x1c2\n", False),
+            (b"9223372036854775807 0\n", False),
+            (b"9223372036854775808 0\n", False),
+            (b"0 1\n1  2", True),  # no final newline
+            (b"", True),
+            (b"# only\n  # comments", True),
+            (b"0 1\n\n  \n007\t8\n", True),
+            (b"0 1 2\n", False),
+            (b"0 1 # tail\n", False),
+        ],
+        ids=[
+            "crlf", "lone-cr", "cr-in-comment", "0xff-in-comment", "vt-fs-separators",
+            "int64-max", "beyond-int64", "no-final-newline", "empty", "comments-only",
+            "blanks-tab-leading-zeros", "three-tokens", "trailing-comment",
+        ],
+    )
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+    def test_matches_line_parser(self, tmp_path, raw, fast, compress):
+        p = tmp_path / "edges.txt"
+        p.write_bytes(gzip.compress(raw) if compress else raw)
+        assert (graph_module._parse_fast(p) is not None) == fast
+        _fast_and_loop(p)
+
+    def test_results_of_pinned_cases(self, tmp_path):
+        p = tmp_path / "edges.txt"
+        p.write_bytes(b"0 1\r1 2\n")
+        _, rep = build_from_edge_list(p)
+        assert (rep.raw_lines, rep.edges) == (2, 2)
+        p.write_bytes(b"9223372036854775807 0\n")
+        g, _ = build_from_edge_list(p)
+        assert g.original_ids.tolist() == [0, 2**63 - 1]
+        p.write_bytes(b"# a\rb\n0 1\n")
+        with pytest.raises(EdgeListParseError, match="line 2: expected two"):
+            build_from_edge_list(p)
+        p.write_bytes(b"9223372036854775808 0\n")
+        with pytest.raises(EdgeListParseError, match="line 1: node id outside"):
+            build_from_edge_list(p)
+
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+    def test_line_numbers_carry_across_chunks(self, tmp_path, monkeypatch, compress):
+        monkeypatch.setattr(graph_module, "_CHUNK_BYTES", 16)
+        clean = b"# head\n" + b"".join(b"%d %d\n" % (i, i + 1) for i in range(40))
+        p = tmp_path / "edges.txt"
+        p.write_bytes(gzip.compress(clean) if compress else clean)
+        assert graph_module._parse_fast(p) is not None
+        g, rep = _fast_and_loop(p)
+        assert (rep.raw_lines, rep.edges, g.node_count) == (41, 40, 41)
+
+        bad = clean + b"1 2 3\n" + b"5 6\n" * 3
+        p.write_bytes(gzip.compress(bad) if compress else bad)
+        err = _fast_and_loop(p)
+        assert isinstance(err, EdgeListParseError) and err.line_number == 42
 
 
 class TestGraphStructure:
@@ -313,3 +438,47 @@ def test_cache_byte_identical_after_round_trip(case):
     g, _ = build(text)
     blob = save_cache(g)
     assert save_cache(load_cache(blob)) == blob
+
+
+# A file in the fast grammar with at most one edit that may take it
+# out, so that both paths run and a single byte decides between them.
+_DIGITS = st.sampled_from(
+    ["0", "1", "7", "42", "123456789012345678", "0", "1", "9223372036854775808"]
+)
+_CLEAN_LINE = st.one_of(
+    st.tuples(
+        st.sampled_from(["", " ", "\t"]),
+        _DIGITS,
+        st.sampled_from([" ", "\t", " \t "]),
+        _DIGITS,
+        st.sampled_from(["", " ", "\t"]),
+    ).map("".join),
+    st.sampled_from(["", " ", "\t", "# c", " \t# c \udcff"]),
+)
+_EDIT = st.sampled_from(
+    ["#", "+", "-", "_", "\x0b", "\x1c", "\u0661", "\udcff", "\r", "\r\n",
+     "\n", " ", "3", "9223372036854775808"]
+)
+
+
+@given(
+    lines=st.lists(_CLEAN_LINE, max_size=12),
+    ending=st.sampled_from(["\n", ""]),
+    edit=st.one_of(st.none(), _EDIT),
+    compress=st.booleans(),
+    chunk=st.sampled_from([4, 32, 1 << 20]),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_fast_path_agrees_with_line_parser(lines, ending, edit, compress, chunk, data):
+    text = "\n".join(lines) + ending
+    if edit is not None:
+        at = data.draw(st.integers(0, len(text)))
+        text = text[:at] + edit + text[at:]
+    raw = text.encode("utf-8", "surrogateescape")  # "\udcff" is the byte 0xff
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "edges.txt"
+        p.write_bytes(gzip.compress(raw) if compress else raw)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "_CHUNK_BYTES", chunk)
+            _fast_and_loop(p)
