@@ -386,7 +386,7 @@ def cmd_recip(args) -> int:
     files = {"recip_qr_histogram.csv": export.histogram_csv(hist, cumulative(hist))}
     for key, profile in conditional_means_nr(d).items():
         files[f"recip_{key}.csv"] = export.profile_csv(profile)
-    sub = reciprocal_subgraph(d)
+    sub = reciprocal_subgraph(d, graph.original_ids)
     for variant in ReciprocalKnnVariant:
         files[f"recip_knn_{variant.value}.csv"] = export.profile_csv(
             reciprocal_knn(d, variant, sub)
@@ -399,7 +399,7 @@ def cmd_recip(args) -> int:
     if args.per_node:
         files["recip_decomposition.csv"] = export.decomposition_csv(d, graph)
     if args.scatter:
-        files["recip_scatter.csv"] = export.scatter_csv(reciprocal_scatter(d, sub))
+        files["recip_scatter.csv"] = export.scatter_csv(reciprocal_scatter(d, sub), sub)
     if args.export_subgraph:
         files["recip_subgraph_edges.txt"] = export.edge_list_text(sub)
     _emit(args, doc, files)

@@ -212,7 +212,7 @@ class UndirectedGraph:
     twice the edge count.
     """
 
-    __slots__ = ("node_count", "offsets", "targets", "original_ids", "_rows")
+    __slots__ = ("node_count", "offsets", "targets", "original_ids", "_rows", "_triangles")
 
     def __init__(
         self,
@@ -228,9 +228,12 @@ class UndirectedGraph:
         offsets.setflags(write=False)
         targets.setflags(write=False)
         self._rows = None
+        self._triangles = None
 
     @classmethod
-    def from_pairs(cls, node_count: int, pairs: np.ndarray) -> "UndirectedGraph":
+    def from_pairs(
+        cls, node_count: int, pairs: np.ndarray, original_ids: np.ndarray | None = None
+    ) -> "UndirectedGraph":
         """Build from an array of (u, v) endpoint pairs; order and
         duplicates do not matter, self-pairs are dropped."""
         n = int(node_count)
@@ -239,7 +242,7 @@ class UndirectedGraph:
         keep = u != v
         u, v = u[keep], v[keep]
         off, tgt = _csr_from_edges(n, np.concatenate([u, v]), np.concatenate([v, u]))
-        return cls(n, off, tgt)
+        return cls(n, off, tgt, original_ids)
 
     @property
     def edge_count(self) -> int:
@@ -256,6 +259,21 @@ class UndirectedGraph:
             r.setflags(write=False)
             self._rows = r
         return self._rows
+
+    @property
+    def triangles(self) -> np.ndarray:
+        """Triangles through each node, via sparse A^2 .* A row sums;
+        counted on first use and kept."""
+        if self._triangles is None:
+            from scipy.sparse import csr_matrix
+
+            n = self.node_count
+            ones = np.ones(len(self.targets), dtype=np.int64)
+            a = csr_matrix((ones, self.targets, self.offsets), shape=(n, n))
+            t = np.asarray((a @ a).multiply(a).sum(axis=1)).ravel().astype(np.int64) // 2
+            t.setflags(write=False)
+            self._triangles = t
+        return self._triangles
 
     def neighbors(self, node: int) -> np.ndarray:
         return self.targets[self.offsets[node] : self.offsets[node + 1]]

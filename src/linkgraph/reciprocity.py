@@ -13,7 +13,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .correlations import CorrelationProfile, class_profile, normalized_product_ratio
 from .degree_stats import DegreeHistogram, DegreeSummary, Direction, summarize
@@ -159,10 +158,13 @@ class ReciprocalKnnVariant(enum.Enum):
     OUT_NN_OF_OUT = "r_out_nn_of_out"
 
 
-def reciprocal_subgraph(d: ReciprocalDecomposition) -> UndirectedGraph:
+def reciprocal_subgraph(
+    d: ReciprocalDecomposition, original_ids: np.ndarray | None = None
+) -> UndirectedGraph:
     """Undirected graph of mutual pairs on the full id space; the degree
-    of node v is exactly q_r(v)."""
-    return UndirectedGraph.from_pairs(d.node_count, d.reciprocal_pairs)
+    of node v is exactly q_r(v). ``original_ids`` are the directed
+    graph's, so exports print input ids."""
+    return UndirectedGraph.from_pairs(d.node_count, d.reciprocal_pairs, original_ids)
 
 
 def reciprocal_knn(
@@ -218,19 +220,6 @@ def reciprocal_knn(
 # -- clustering on the reciprocal subgraph ------------------------------
 
 
-def _triangle_counts(sub: UndirectedGraph) -> np.ndarray:
-    """Triangles through each node, via sparse A^2 .* A row sums."""
-    n = sub.node_count
-    if len(sub.targets) == 0:
-        return np.zeros(n, dtype=np.int64)
-    a = csr_matrix(
-        (np.ones(len(sub.targets), dtype=np.int64), sub.targets, sub.offsets),
-        shape=(n, n),
-    )
-    paths = (a @ a).multiply(a)
-    return np.asarray(paths.sum(axis=1)).ravel().astype(np.int64) // 2
-
-
 def clustering(sub: UndirectedGraph, node: int) -> float:
     """Fraction of realized links among one node's mutual partners:
     2 n_link / (q_r (q_r - 1)). Undefined below degree 2."""
@@ -257,7 +246,7 @@ def avg_clustering_by_degree(sub: UndirectedGraph) -> CorrelationProfile:
     q_r >= 2. No normalization applies; ``mean_normalized`` is None."""
     deg = sub.degrees.astype(np.int64)
     mask = deg >= 2
-    tri = _triangle_counts(sub)
+    tri = sub.triangles
     values = np.zeros(sub.node_count)
     dd = deg[mask].astype(np.float64)
     values[mask] = 2.0 * tri[mask] / (dd * (dd - 1.0))
@@ -281,7 +270,7 @@ def reciprocal_scatter(
         sub.rows, sub.targets, deg.astype(np.float64), sub.node_count
     )
     knn = sums[members] / deg[members]
-    tri = _triangle_counts(sub)
+    tri = sub.triangles
     cvals = np.full(len(members), np.nan)
     big = deg[members] >= 2
     dd = deg[members][big].astype(np.float64)

@@ -267,6 +267,32 @@ class TestCorrAndRecip:
         assert (out_dir / "recip_scatter.csv").exists()
         assert (out_dir / "recip_subgraph_edges.txt").read_text() == "0 1\n"
 
+    def test_recip_per_node_files_share_input_ids(self, tmp_path, capsys):
+        src = tmp_path / "sparse.txt"
+        # a mutual triangle on 100, 200, 300, and a one-way link 300 -> 400
+        src.write_text("100 200\n200 100\n100 300\n300 100\n200 300\n300 200\n300 400\n")
+        out_dir = tmp_path / "recip"
+        code, _, _ = run(
+            [
+                "recip", "--input", str(src), "--out", str(out_dir),
+                "--per-node", "--scatter", "--export-subgraph",
+            ],
+            capsys,
+        )
+        assert code == 0
+        def table(name):
+            lines = (out_dir / name).read_text().splitlines()
+            return [line.split(",") for line in lines[1:]]
+
+        q_r = {node: qr for node, _, _, qr in table("recip_decomposition.csv")}
+        assert set(q_r) == {"100", "200", "300", "400"}
+        scatter = table("recip_scatter.csv")
+        assert [node for node, *_ in scatter] == ["100", "200", "300"]
+        assert all(q_r[node] == qr for node, qr, *_ in scatter)
+        edges = (out_dir / "recip_subgraph_edges.txt").read_text()
+        assert set(edges.split()) <= set(q_r)
+        assert edges == "100 200\n100 300\n200 300\n"
+
 
 class TestSimulate:
     def test_runs_and_reports(self, tmp_path, capsys):

@@ -233,6 +233,16 @@ class TestClustering:
 
 
 class TestScatter:
+    def test_shares_the_subgraph_triangle_count(self):
+        edges = [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0), (2, 3), (3, 2)]
+        d = decompose(graph_of(4, edges))
+        sub = reciprocal_subgraph(d)
+        avg_clustering_by_degree(sub)
+        counted = sub.triangles
+        reciprocal_scatter(d, sub)
+        assert sub.triangles is counted
+        assert counted.tolist() == [1, 1, 1, 0]
+
     def test_columns_and_membership(self):
         rng = np.random.default_rng(35)
         edges = oracles.random_digraph(rng, 25, 0.3)
