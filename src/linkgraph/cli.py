@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import os
 import sys
 from pathlib import Path
@@ -271,12 +270,11 @@ def _emit(args, doc: dict, files: dict[str, str]) -> None:
             _write(out, name, content)
 
 
-def _workers_ok(args) -> None:
+def _settings_ok(args) -> None:
     if getattr(args, "workers", 1) < 1:
         raise _UsageError("--workers must be >= 1")
-
-
-def _kmin_ok(args) -> None:
+    if getattr(args, "seed", 0) < 0:
+        raise _UsageError("--seed must be >= 0")
     if getattr(args, "kmin", None) is not None and args.kmin < 1:
         raise _UsageError("--kmin must be >= 1")
 
@@ -418,9 +416,10 @@ def _zeta_law(side: str, gamma: float, k_min: int, cutoff: int | None, n: int):
     return ZetaDegreeLaw(gamma, k_min, cutoff)
 
 
-def _poisson_law(side: str, lam: float):
-    if not (lam >= 0 and math.isfinite(lam)):
-        raise _UsageError(f"--lambda-{side} must be finite and >= 0")
+def _poisson_law(side: str, lam: float, n: int):
+    top = max(n - 1, 0)  # no node of a simple n-node graph has more neighbors
+    if not 0 <= lam <= top:
+        raise _UsageError(f"--lambda-{side} must lie in [0, n - 1] = [0, {top}]")
     return PoissonDegreeLaw(lam)
 
 
@@ -432,13 +431,13 @@ def _resolve_laws(args):
     if args.gamma_in is not None:
         in_law = _zeta_law("in", args.gamma_in, args.kmin_in, args.cutoff_in, args.n)
     elif args.lambda_in is not None:
-        in_law = _poisson_law("in", args.lambda_in)
+        in_law = _poisson_law("in", args.lambda_in, args.n)
     else:
         in_law = ZetaDegreeLaw(2.1, 1, max(10, args.n // 10))
     if args.gamma_out is not None:
         out_law = _zeta_law("out", args.gamma_out, args.kmin_out, args.cutoff_out, args.n)
     elif args.lambda_out is not None:
-        out_law = _poisson_law("out", args.lambda_out)
+        out_law = _poisson_law("out", args.lambda_out, args.n)
     else:
         out_law = PoissonDegreeLaw(law_mean(in_law, max_degree=args.n - 1))
     return in_law, out_law
@@ -535,8 +534,7 @@ def main(argv=None) -> int:
         stream=sys.stderr,
     )
     try:
-        _workers_ok(args)
-        _kmin_ok(args)
+        _settings_ok(args)
         _out_ok(args)
         np.seterr(all="ignore")
         return args.fn(args)

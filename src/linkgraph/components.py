@@ -84,12 +84,13 @@ def strongly_connected_components(g: DirectedGraph) -> tuple[np.ndarray, np.ndar
     n = g.node_count
     if n == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    _, labels = _cc(_adjacency(g.fwd_offsets, g.fwd_targets), connection="strong")
-    # renumber by first occurrence so labels are deterministic
-    _, first_idx, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    rank = np.empty(len(first_idx), dtype=np.int64)
-    rank[np.argsort(first_idx)] = np.arange(len(first_idx))
-    labels = rank[inverse]
+    k, labels = _cc(_adjacency(g.fwd_offsets, g.fwd_targets), connection="strong")
+    # renumber by first occurrence so labels are deterministic, in O(n)
+    first = np.full(k, n, dtype=np.int64)
+    np.minimum.at(first, labels, np.arange(n))
+    rank = np.empty(k, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(k)
+    labels = rank[labels]
     sizes = np.bincount(labels)
     return labels, sizes
 

@@ -235,10 +235,12 @@ def directed_knn(g: DirectedGraph, variant: KnnVariant) -> CorrelationProfile:
     kappa_out = exact_product_sum(kout, kout) / s_in
     kappa_cross = exact_product_sum(kin, kout) / s_in
 
+    # in-neighbor sums read the forward edges head first: each head's
+    # tails arrive in ascending order, as a reverse CSR would give them
     if variant is KnnVariant.IN_NN_OF_IN:
-        cond, qty, rows, tgts, norm = kin, kin, g.rev_rows, g.rev_sources, kappa_cross
+        cond, qty, rows, tgts, norm = kin, kin, g.fwd_targets, g.fwd_rows, kappa_cross
     elif variant is KnnVariant.OUT_NN_OF_IN:
-        cond, qty, rows, tgts, norm = kin, kout, g.rev_rows, g.rev_sources, kappa_out
+        cond, qty, rows, tgts, norm = kin, kout, g.fwd_targets, g.fwd_rows, kappa_out
     elif variant is KnnVariant.IN_NN_OF_OUT:
         cond, qty, rows, tgts, norm = kout, kin, g.fwd_rows, g.fwd_targets, kappa_in
     elif variant is KnnVariant.OUT_NN_OF_OUT:

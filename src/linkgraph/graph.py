@@ -1,10 +1,10 @@
-"""Compacted directed graphs with forward and reverse adjacency.
+"""Compacted directed graphs stored as one sorted forward CSR.
 
 Edge lists are cleaned on ingest (self-loops and duplicate edges are
 dropped and counted), sparse node ids are compacted to a dense
-``0..n-1`` range, and adjacency is stored as sorted CSR arrays in both
-directions so neighbor scans, membership tests, and transposed
-traversals stay cheap on multi-million-edge graphs.
+``0..n-1`` range, and adjacency is stored as a sorted forward CSR. The
+reverse CSR is its transpose, derived on first use, so the two
+directions can never disagree.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ import numpy as np
 from .errors import CacheFormatError, EdgeListParseError
 
 _CACHE_MAGIC = b"WGLB"
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 _MAX_NODES = 2**31 - 1  # adjacency targets are stored as int32
 
 EdgeListSource = Union[str, Path, io.IOBase, Iterable[str]]
@@ -64,10 +64,10 @@ class IngestReport:
 class DirectedGraph:
     """Immutable simple directed graph over dense node ids ``0..n-1``.
 
-    Both the forward (out-neighbor) and reverse (in-neighbor) adjacency
-    are kept as CSR arrays with ascending neighbor lists. ``original_ids``
-    maps each dense id back to the id it carried in the source data; it
-    is ``None`` when the ids were already dense.
+    The forward (out-neighbor) CSR with ascending rows is the graph; the
+    reverse CSR is derived from it on first use. ``original_ids`` maps
+    each dense id back to the id it carried in the source data; it is
+    ``None`` when the ids were already dense.
     """
 
     __slots__ = (
@@ -75,13 +75,11 @@ class DirectedGraph:
         "edge_count",
         "fwd_offsets",
         "fwd_targets",
-        "rev_offsets",
-        "rev_sources",
         "original_ids",
         "_out_degrees",
         "_in_degrees",
         "_fwd_rows",
-        "_rev_rows",
+        "_rev",
     )
 
     def __init__(
@@ -89,25 +87,20 @@ class DirectedGraph:
         node_count: int,
         fwd_offsets: np.ndarray,
         fwd_targets: np.ndarray,
-        rev_offsets: np.ndarray,
-        rev_sources: np.ndarray,
         original_ids: np.ndarray | None = None,
     ):
         self.node_count = int(node_count)
         self.edge_count = int(len(fwd_targets))
         self.fwd_offsets = fwd_offsets
         self.fwd_targets = fwd_targets
-        self.rev_offsets = rev_offsets
-        self.rev_sources = rev_sources
         self.original_ids = original_ids
-        for arr in (fwd_offsets, fwd_targets, rev_offsets, rev_sources):
-            arr.setflags(write=False)
-        if original_ids is not None:
-            original_ids.setflags(write=False)
+        for arr in (fwd_offsets, fwd_targets, original_ids):
+            if arr is not None:
+                arr.setflags(write=False)
         self._out_degrees = None
         self._in_degrees = None
         self._fwd_rows = None
-        self._rev_rows = None
+        self._rev = None
 
     # -- construction -------------------------------------------------
 
@@ -132,10 +125,8 @@ class DirectedGraph:
             if lo < 0 or hi >= n:
                 raise ValueError("edge endpoint outside 0..node_count-1")
         keep = src != dst
-        src, dst = src[keep], dst[keep]
-        fwd_off, fwd_tgt = _csr_from_edges(n, src, dst)
-        rev_off, rev_src = _csr_from_edges(n, dst, src)
-        return cls(n, fwd_off, fwd_tgt, rev_off, rev_src, original_ids)
+        fwd_off, fwd_tgt = _csr_from_edges(n, src[keep], dst[keep])
+        return cls(n, fwd_off, fwd_tgt, original_ids)
 
     # -- basic accessors ----------------------------------------------
 
@@ -156,10 +147,27 @@ class DirectedGraph:
     @property
     def in_degrees(self) -> np.ndarray:
         if self._in_degrees is None:
-            d = np.diff(self.rev_offsets)
+            d = np.bincount(self.fwd_targets, minlength=self.node_count)
             d.setflags(write=False)
             self._in_degrees = d
         return self._in_degrees
+
+    @property
+    def rev_offsets(self) -> np.ndarray:
+        return self._reverse()[0]
+
+    @property
+    def rev_sources(self) -> np.ndarray:
+        """In-neighbors of every node, ascending within each row."""
+        return self._reverse()[1]
+
+    def _reverse(self) -> tuple[np.ndarray, np.ndarray]:
+        """The forward CSR transposed on first use: the one place a reverse CSR is made."""
+        if self._rev is None:
+            self._rev = _csr_from_edges(self.node_count, self.fwd_targets, self.fwd_rows)
+            for arr in self._rev:
+                arr.setflags(write=False)
+        return self._rev
 
     @property
     def fwd_rows(self) -> np.ndarray:
@@ -172,34 +180,21 @@ class DirectedGraph:
             self._fwd_rows = r
         return self._fwd_rows
 
-    @property
-    def rev_rows(self) -> np.ndarray:
-        """Target node of every reverse CSR entry (length = edge_count)."""
-        if self._rev_rows is None:
-            r = np.repeat(np.arange(self.node_count, dtype=np.int64), self.in_degrees)
-            r.setflags(write=False)
-            self._rev_rows = r
-        return self._rev_rows
-
     def has_edge(self, u: int, v: int) -> bool:
         row = self.out_neighbors(u)
         i = np.searchsorted(row, v)
         return bool(i < len(row) and row[i] == v)
 
     def same_structure(self, other: "DirectedGraph") -> bool:
-        if self.node_count != other.node_count or self.edge_count != other.edge_count:
-            return False
-        if not (
-            np.array_equal(self.fwd_offsets, other.fwd_offsets)
-            and np.array_equal(self.fwd_targets, other.fwd_targets)
-            and np.array_equal(self.rev_offsets, other.rev_offsets)
-            and np.array_equal(self.rev_sources, other.rev_sources)
-        ):
-            return False
+        """Same forward CSR and ids; the reverse CSR follows from them."""
         a, b = self.original_ids, other.original_ids
-        if (a is None) != (b is None):
-            return False
-        return a is None or np.array_equal(a, b)
+        return (
+            self.node_count == other.node_count
+            and np.array_equal(self.fwd_offsets, other.fwd_offsets)
+            and np.array_equal(self.fwd_targets, other.fwd_targets)
+            and (a is None) == (b is None)
+            and (a is None or np.array_equal(a, b))
+        )
 
     def __repr__(self) -> str:
         return f"DirectedGraph(nodes={self.node_count}, edges={self.edge_count})"
@@ -575,63 +570,66 @@ def degrees(g: DirectedGraph, node: int) -> tuple[int, int]:
 # -- binary cache ------------------------------------------------------
 
 # Layout (all little-endian):
-#   magic[4] version:u32 flags:u64 node_count:u64 edge_count:u64
-#   fwd_offsets:(n+1)*i64  rev_offsets:(n+1)*i64
-#   fwd_targets:m*i32      rev_sources:m*i32
-#   [original_ids:n*i64 when flags bit 0 is set]
-_HEADER = struct.Struct("<4sIQQQ")
+#   magic[4] version:u32 flags:u32 crc32(payload):u32 node_count:u64 edge_count:u64
+#   payload: fwd_offsets:(n+1)*i64  fwd_targets:m*i32
+#            [original_ids:n*i64 when flags bit 0 is set]
+# Only the forward CSR is stored: the reverse one is derived from it.
+_HEADER = struct.Struct("<4sIIIQQ")
 
 
 def save_cache(g: DirectedGraph) -> bytes:
     """Serialize a graph to the binary cache format (deterministic bytes)."""
-    flags = 1 if g.original_ids is not None else 0
-    parts = [
-        _HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, flags, g.node_count, g.edge_count),
-        np.ascontiguousarray(g.fwd_offsets, dtype="<i8").tobytes(),
-        np.ascontiguousarray(g.rev_offsets, dtype="<i8").tobytes(),
-        np.ascontiguousarray(g.fwd_targets, dtype="<i4").tobytes(),
-        np.ascontiguousarray(g.rev_sources, dtype="<i4").tobytes(),
-    ]
-    if g.original_ids is not None:
-        parts.append(np.ascontiguousarray(g.original_ids, dtype="<i8").tobytes())
-    return b"".join(parts)
+    arrays = [(g.fwd_offsets, "<i8"), (g.fwd_targets, "<i4")]
+    flags = int(g.original_ids is not None)  # bit 0: the ids follow
+    if flags:
+        arrays.append((g.original_ids, "<i8"))
+    payload = b"".join(np.ascontiguousarray(a, dtype=t).tobytes() for a, t in arrays)
+    fields = (flags, zlib.crc32(payload), g.node_count, g.edge_count)
+    return _HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, *fields) + payload
 
 
 def load_cache(data: bytes) -> DirectedGraph:
-    """Deserialize :func:`save_cache` output; validates magic, version,
-    exact length, non-decreasing offsets and node ids in ``0..n-1``."""
+    """Deserialize :func:`save_cache` output as read-only views of ``data``,
+    after checking magic, version, flags, exact length and checksum, then
+    a simple graph's forward CSR (offsets from 0 to m never decreasing,
+    targets in ``0..n-1``, strictly ascending rows, no self-loop) and ids."""
     if len(data) < _HEADER.size:
         raise CacheFormatError("cache shorter than header")
-    magic, version, flags, n, m = _HEADER.unpack_from(data, 0)
+    magic, version, flags, crc, n, m = _HEADER.unpack_from(data, 0)
     if magic != _CACHE_MAGIC:
         raise CacheFormatError(f"bad magic {magic!r}")
     if version != _CACHE_VERSION:
-        raise CacheFormatError(f"unsupported cache version {version}")
+        raise CacheFormatError(
+            f"cache version {version} is not read, only {_CACHE_VERSION}: "
+            "rebuild the cache with `linkgraph ingest`"
+        )
+    if flags & ~1:
+        raise CacheFormatError(f"unknown cache flags {flags:#x}")
     has_ids = bool(flags & 1)
-    expected = _HEADER.size + 2 * 8 * (n + 1) + 2 * 4 * m + (8 * n if has_ids else 0)
-    if len(data) < expected:
-        raise CacheFormatError(f"truncated cache: {len(data)} bytes, need {expected}")
-    if len(data) > expected:
-        raise CacheFormatError(f"trailing bytes in cache: {len(data)} > {expected}")
-    pos = _HEADER.size
-    fwd_off = np.frombuffer(data, dtype="<i8", count=n + 1, offset=pos).copy()
-    pos += 8 * (n + 1)
-    rev_off = np.frombuffer(data, dtype="<i8", count=n + 1, offset=pos).copy()
-    pos += 8 * (n + 1)
-    fwd_tgt = np.frombuffer(data, dtype="<i4", count=m, offset=pos).copy()
-    pos += 4 * m
-    rev_src = np.frombuffer(data, dtype="<i4", count=m, offset=pos).copy()
-    pos += 4 * m
+    expected = _HEADER.size + 8 * (n + 1) + 4 * m + (8 * n if has_ids else 0)
+    if len(data) != expected:
+        what = "truncated" if len(data) < expected else "trailing bytes in"
+        raise CacheFormatError(f"{what} cache: {len(data)} bytes, header says {expected}")
+    if zlib.crc32(memoryview(data)[_HEADER.size:]) != crc:
+        raise CacheFormatError("cache checksum mismatch")
+    off = np.frombuffer(data, dtype="<i8", count=n + 1, offset=_HEADER.size)
+    tgt = np.frombuffer(data, dtype="<i4", count=m, offset=_HEADER.size + 8 * (n + 1))
     original_ids = None
     if has_ids:
-        original_ids = np.frombuffer(data, dtype="<i8", count=n, offset=pos).copy()
+        original_ids = np.frombuffer(data, dtype="<i8", count=n, offset=len(data) - 8 * n)
     # compiled traversals index with these arrays unchecked
-    for off, ids in ((fwd_off, fwd_tgt), (rev_off, rev_src)):
-        if off[0] != 0 or off[-1] != m or np.any(off[1:] < off[:-1]):
-            raise CacheFormatError("inconsistent offset arrays")
-        if m and (ids.min() < 0 or ids.max() >= n):
-            raise CacheFormatError("node id out of range in cache")
-    return DirectedGraph(n, fwd_off, fwd_tgt, rev_off, rev_src, original_ids)
+    if off[0] != 0 or off[-1] != m or np.any(off[1:] < off[:-1]):
+        raise CacheFormatError("inconsistent offset array")
+    if m and (tgt.min() < 0 or tgt.max() >= n):
+        raise CacheFormatError("node id out of range in cache")
+    if has_ids and np.any(np.diff(original_ids) <= 0):
+        raise CacheFormatError("original ids in cache not strictly ascending")
+    g = DirectedGraph(n, off, tgt, original_ids)
+    if np.any(np.diff(g.fwd_rows * n + tgt) <= 0):
+        raise CacheFormatError("cache row not strictly ascending: unsorted or duplicate edge")
+    if np.any(g.fwd_rows == tgt):
+        raise CacheFormatError("self-loop in cache")
+    return g
 
 
 # -- derived graphs ----------------------------------------------------

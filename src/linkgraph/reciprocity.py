@@ -63,7 +63,7 @@ def decompose(g: DirectedGraph) -> ReciprocalDecomposition:
             np.empty((0, 2), dtype=np.int64),
         )
     keys = u * n + v  # ascending; u->v is mutual when v is in rev row u
-    rev_keys = g.rev_rows * n + g.rev_sources  # ascending too
+    rev_keys = np.repeat(np.arange(n, dtype=np.int64) * n, g.in_degrees) + g.rev_sources
     pos = np.searchsorted(rev_keys, keys)
     pos[pos >= len(rev_keys)] = len(rev_keys) - 1
     mutual = rev_keys[pos] == keys

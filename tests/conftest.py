@@ -1,4 +1,6 @@
+import struct
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -31,3 +33,31 @@ def graph_of(n, edges):
 @pytest.fixture
 def make_graph():
     return graph_of
+
+
+# cache v2 layout: 32-byte header (crc32 of the payload at bytes 12..16),
+# then fwd_offsets (n+1)*i64, fwd_targets m*i32 and the optional ids
+CACHE_HEADER = 32
+
+
+def cache_targets_at(n: int) -> int:
+    """Byte offset of the first forward target in an n-node cache."""
+    return CACHE_HEADER + 8 * (n + 1)
+
+
+def v1_cache(g) -> bytes:
+    """The graph in the version 1 layout: both CSR directions, 64-bit
+    flags and no checksum."""
+    arrays = ((g.fwd_offsets, "<i8"), (g.rev_offsets, "<i8"),
+              (g.fwd_targets, "<i4"), (g.rev_sources, "<i4"))
+    return struct.pack("<4sIQQQ", b"WGLB", 1, 0, g.node_count, g.edge_count) + b"".join(
+        np.ascontiguousarray(a, dtype=dt).tobytes() for a, dt in arrays
+    )
+
+
+def reseal(blob) -> bytes:
+    """The cache bytes with the header checksum recomputed, so that a
+    mutated payload reaches the structural check it is aimed at."""
+    blob = bytearray(blob)
+    blob[12:16] = zlib.crc32(bytes(blob[CACHE_HEADER:])).to_bytes(4, "little")
+    return bytes(blob)

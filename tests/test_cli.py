@@ -10,7 +10,7 @@ import pytest
 from linkgraph import save_cache
 from linkgraph.cli import main
 
-from conftest import TOY8_EDGES, TOY8_N, graph_of
+from conftest import TOY8_EDGES, TOY8_N, cache_targets_at, graph_of, reseal, v1_cache
 
 
 @pytest.fixture
@@ -170,13 +170,65 @@ class TestBowtie:
     def test_cache_with_out_of_range_target_is_input_error(self, tmp_path, capsys):
         g = graph_of(TOY8_N, TOY8_EDGES)
         blob = bytearray(save_cache(g))
-        first_target = 32 + 2 * 8 * (TOY8_N + 1)
-        blob[first_target:first_target + 4] = (10**6).to_bytes(4, "little")
+        at = cache_targets_at(TOY8_N)
+        blob[at:at + 4] = (10**6).to_bytes(4, "little")
         bad = tmp_path / "bad.wgl"
-        bad.write_bytes(bytes(blob))
+        bad.write_bytes(reseal(blob))
         code, _, err = run(["bowtie", "--cache", str(bad)], capsys)
         assert code == 3
         assert err.startswith("input error:")
+        assert "out of range" in err
+
+
+def _set_row0(blob: bytearray, row: list[int]) -> bytes:
+    at = cache_targets_at(TOY8_N)
+    blob[at:at + 4 * len(row)] = np.array(row, dtype="<i4").tobytes()
+    return reseal(blob)
+
+
+def _flip_last(blob: bytearray) -> bytes:
+    blob[-1] ^= 1
+    return bytes(blob)
+
+
+# toy8's forward row 0 is [1, 5, 6]
+_CACHE_FAULTS = {
+    "v1": (lambda blob: v1_cache(graph_of(TOY8_N, TOY8_EDGES)), "linkgraph ingest"),
+    "crc": (_flip_last, "checksum"),
+    "unsorted": (lambda blob: _set_row0(blob, [5, 1, 6]), "not strictly ascending"),
+    "duplicate": (lambda blob: _set_row0(blob, [1, 5, 5]), "duplicate edge"),
+    "self-loop": (lambda blob: _set_row0(blob, [0, 5, 6]), "self-loop"),
+    "range": (lambda blob: _set_row0(blob, [1, 5, 8]), "out of range"),
+}
+
+
+@pytest.mark.parametrize("command", ["bowtie", "degrees", "corr", "recip"])
+@pytest.mark.parametrize("fault", sorted(_CACHE_FAULTS))
+def test_faulty_cache_is_one_input_error_line(toy_cache, tmp_path, fault, command, capsys):
+    mutate, message = _CACHE_FAULTS[fault]
+    bad = tmp_path / "bad.wgl"
+    bad.write_bytes(mutate(bytearray(toy_cache.read_bytes())))
+    code, out, err = run([command, "--cache", str(bad)], capsys)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("input error:")
+    assert message in err
+
+
+def test_rewired_cache_is_the_graph_of_its_forward_csr(toy_cache, tmp_path, capsys):
+    # forward row 0 rewired from 0->1 to 0->3 and re-sealed: it loads as
+    # exactly the graph built clean from the rewired edges
+    rewired = _set_row0(bytearray(toy_cache.read_bytes()), [3, 5, 6])
+    edges = [(u, 3 if (u, v) == (0, 1) else v) for u, v in TOY8_EDGES]
+    assert rewired == save_cache(graph_of(TOY8_N, edges))
+    bad = tmp_path / "rewired.wgl"
+    bad.write_bytes(rewired)
+    out_dir = tmp_path / "r"
+    code, _, _ = run(["recip", "--cache", str(bad), "--per-node", "--out", str(out_dir)], capsys)
+    assert code == 0
+    rows = (out_dir / "recip_decomposition.csv").read_text().splitlines()
+    assert rows[1:5] == ["0,0,3,0", "1,1,1,0", "2,1,1,0", "3,2,2,0"]
 
 
 class TestDegrees:
@@ -345,6 +397,9 @@ class TestSimulate:
             ["--budget-fraction", "-1"],
             ["--budget-fraction", "3"],
             ["--replicas", "-1"],
+            ["--lambda-in", "1e300"],
+            ["--lambda-out", "1e300"],
+            ["--seed", "-1"],
         ],
     )
     def test_invalid_settings_are_usage_errors(self, flags, capsys):

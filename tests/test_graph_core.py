@@ -24,7 +24,7 @@ from linkgraph import (
 from linkgraph import graph as graph_module
 from linkgraph.graph import sorted_unique
 
-from conftest import TOY8_EDGES
+from conftest import CACHE_HEADER, TOY8_EDGES, cache_targets_at, reseal, v1_cache
 
 
 def _outcome(source):
@@ -340,36 +340,104 @@ class TestCache:
         g2 = load_cache(save_cache(g))
         assert g2.original_ids.tolist() == [10, 20, 30]
 
+    def test_loads_read_only_views_of_the_bytes(self, toy8):
+        blob = save_cache(toy8)
+        g2 = load_cache(blob)
+        for arr in (g2.fwd_offsets, g2.fwd_targets, g2.rev_offsets, g2.rev_sources):
+            assert not arr.flags.writeable
+        assert g2.fwd_targets.base is not None  # a view, not a copy
+
+    def test_stores_only_the_forward_csr(self, toy8):
+        n, m = toy8.node_count, toy8.edge_count
+        assert len(save_cache(toy8)) == CACHE_HEADER + 8 * (n + 1) + 4 * m
+
     def test_magic_rejected(self, toy8):
         blob = bytearray(save_cache(toy8))
         blob[:4] = b"XXXX"
-        with pytest.raises(CacheFormatError):
+        with pytest.raises(CacheFormatError, match="bad magic"):
             load_cache(bytes(blob))
 
     def test_truncation_rejected(self, toy8):
         blob = save_cache(toy8)
-        with pytest.raises(CacheFormatError):
+        with pytest.raises(CacheFormatError, match="truncated"):
             load_cache(blob[:-3])
 
     def test_trailing_garbage_rejected(self, toy8):
         blob = save_cache(toy8)
-        with pytest.raises(CacheFormatError):
+        with pytest.raises(CacheFormatError, match="trailing bytes"):
             load_cache(blob + b"\x00")
+
+    def test_version_1_rejected_naming_ingest(self, toy8):
+        with pytest.raises(CacheFormatError, match="version 1.*linkgraph ingest"):
+            load_cache(v1_cache(toy8))
+
+    def test_unknown_flags_rejected(self, toy8):
+        blob = bytearray(save_cache(toy8))
+        blob[8] |= 2
+        with pytest.raises(CacheFormatError, match="unknown cache flags"):
+            load_cache(bytes(blob))
+
+    @pytest.mark.parametrize("at", [12, -1], ids=["crc-field", "payload"])
+    def test_bad_checksum_rejected(self, toy8, at):
+        blob = bytearray(save_cache(toy8))
+        blob[at] ^= 1
+        with pytest.raises(CacheFormatError, match="checksum"):
+            load_cache(bytes(blob))
 
     @pytest.mark.parametrize("value", [8, -1])
     def test_node_id_out_of_range_rejected(self, toy8, value):
         blob = bytearray(save_cache(toy8))
-        first_target = 32 + 2 * 8 * (toy8.node_count + 1)
-        blob[first_target:first_target + 4] = value.to_bytes(4, "little", signed=True)
-        with pytest.raises(CacheFormatError):
-            load_cache(bytes(blob))
+        at = cache_targets_at(toy8.node_count)
+        blob[at:at + 4] = value.to_bytes(4, "little", signed=True)
+        with pytest.raises(CacheFormatError, match="out of range"):
+            load_cache(reseal(blob))
 
     def test_decreasing_offsets_rejected(self, toy8):
         blob = bytearray(save_cache(toy8))
         assert toy8.fwd_offsets[2] < 6
         blob[40:48] = (6).to_bytes(8, "little")  # fwd_offsets[1]
-        with pytest.raises(CacheFormatError):
-            load_cache(bytes(blob))
+        with pytest.raises(CacheFormatError, match="offset"):
+            load_cache(reseal(blob))
+
+    # row 0 of toy8 is [1, 5, 6]
+    @pytest.mark.parametrize(
+        "row0, message",
+        [
+            ([5, 1, 6], "not strictly ascending"),
+            ([1, 5, 5], "duplicate edge"),
+            ([0, 5, 6], "self-loop"),
+        ],
+    )
+    def test_row_faults_rejected(self, toy8, row0, message):
+        assert toy8.out_neighbors(0).tolist() == [1, 5, 6]
+        blob = bytearray(save_cache(toy8))
+        at = cache_targets_at(toy8.node_count)
+        blob[at:at + 12] = np.array(row0, dtype="<i4").tobytes()
+        with pytest.raises(CacheFormatError, match=message):
+            load_cache(reseal(blob))
+
+    def test_repeated_original_id_rejected(self):
+        g, _ = build("10 20\n20 30\n")
+        blob = bytearray(save_cache(g))
+        blob[-16:-8] = (10).to_bytes(8, "little")  # ids [10, 20, 30] -> [10, 10, 30]
+        with pytest.raises(CacheFormatError, match="original ids"):
+            load_cache(reseal(blob))
+
+    def test_rewired_row_loads_as_one_consistent_graph(self, toy8):
+        # forward row 0 rewired from 0->1 to 0->3: a v1 cache kept the
+        # old reverse CSR and loaded a graph whose two directions disagreed
+        blob = bytearray(save_cache(toy8))
+        at = cache_targets_at(toy8.node_count)
+        blob[at:at + 4] = (3).to_bytes(4, "little")
+        g = load_cache(reseal(blob))
+        assert g.out_neighbors(0).tolist() == [3, 5, 6]
+        assert np.array_equal(g.in_degrees, np.bincount(g.fwd_targets, minlength=8))
+        assert np.array_equal(g.in_degrees, np.diff(g.rev_offsets))
+        assert g.in_neighbors(3).tolist() == [0, 2]
+        assert g.in_neighbors(1).tolist() == [3]
+        edges = set(zip(g.fwd_rows.tolist(), g.fwd_targets.tolist()))
+        for v in range(8):
+            assert g.in_neighbors(v).tolist() == sorted(u for u, w in edges if w == v)
 
     def test_empty_graph_round_trip(self):
         g, _ = build("")
