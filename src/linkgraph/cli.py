@@ -284,6 +284,7 @@ def _settings_ok(args) -> None:
 
 def cmd_ingest(args) -> int:
     graph, report = build_from_edge_list(args.input)
+    _outdir(args)  # made before the cache, which may live under it
     if args.cache:
         Path(args.cache).write_bytes(save_cache(graph))
         log.info("cache written to %s", args.cache)

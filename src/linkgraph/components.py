@@ -13,9 +13,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
-from scipy.sparse.csgraph import connected_components as _cc
 
 from .graph import DirectedGraph
 
@@ -81,6 +78,8 @@ def strongly_connected_components(g: DirectedGraph) -> tuple[np.ndarray, np.ndar
     iterative (compiled), so recursion depth never scales with the
     graph.
     """
+    from scipy.sparse.csgraph import connected_components as _cc
+
     n = g.node_count
     if n == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
@@ -95,7 +94,10 @@ def strongly_connected_components(g: DirectedGraph) -> tuple[np.ndarray, np.ndar
     return labels, sizes
 
 
-def _adjacency(offsets: np.ndarray, targets: np.ndarray) -> csr_matrix:
+def _adjacency(offsets: np.ndarray, targets: np.ndarray):
+    """The CSR as a scipy matrix; scipy loads on a command's first traversal."""
+    from scipy.sparse import csr_matrix
+
     n = len(offsets) - 1
     return csr_matrix((np.ones(len(targets)), targets, offsets), shape=(n, n))
 
@@ -108,6 +110,8 @@ def _reach_mask(offsets: np.ndarray, targets: np.ndarray, seeds: np.ndarray) -> 
     ``n``, whose row lists the seeds: the cost is linear in nodes plus
     edges whatever the graph's depth.
     """
+    from scipy.sparse.csgraph import breadth_first_order
+
     n = len(offsets) - 1
     mat = _adjacency(
         np.append(offsets, offsets[-1] + len(seeds)), np.concatenate([targets, seeds])
@@ -134,6 +138,8 @@ def bowtie_decompose(g: DirectedGraph) -> BowTiePartition:
     with the smallest id as the core. An empty graph yields an all-empty
     partition with zero percentages.
     """
+    from scipy.sparse.csgraph import connected_components as _cc
+
     n = g.node_count
     if n == 0:
         zeros = {c: 0 for c in _CLASS_ORDER}
@@ -141,15 +147,9 @@ def bowtie_decompose(g: DirectedGraph) -> BowTiePartition:
         return BowTiePartition(0, np.empty(0, dtype=np.uint8), zeros, pcts, 0.0)
 
     labels, comp_sizes = strongly_connected_components(g)
-    max_size = comp_sizes.max()
-    tied = np.flatnonzero(comp_sizes == max_size)
-    if len(tied) == 1:
-        core_label = int(tied[0])
-    else:
-        # labels are numbered by first occurrence, so the smallest tied
-        # label is the component containing the smallest node id
-        core_label = int(tied.min())
-    scc = labels == core_label
+    # labels are numbered by first occurrence, so argmax's first largest
+    # label is the tied component containing the smallest node id
+    scc = labels == np.argmax(comp_sizes)
 
     scc_nodes = np.flatnonzero(scc)
     fwd_reach = _reach_mask(g.fwd_offsets, g.fwd_targets, scc_nodes)

@@ -28,6 +28,7 @@ import numpy as np
 from .components import BowTieClass, bowtie_decompose
 from .degree_stats import (
     Direction,
+    _hurwitz_zeta,
     degree_histogram,
     sample_zeta,
     select_fit_range,
@@ -110,9 +111,9 @@ def law_mean(law: DegreeLaw, max_degree: int | None = None) -> float:
             raise GenerationError(
                 "unbounded zeta law with gamma <= 2 has no finite mean; set a cutoff"
             )
-        from scipy.special import zeta as _hz
-
-        return float(_hz(law.gamma - 1.0, law.k_min) / _hz(law.gamma, law.k_min))
+        return float(
+            _hurwitz_zeta(law.gamma - 1.0, law.k_min) / _hurwitz_zeta(law.gamma, law.k_min)
+        )
     raise TypeError(f"unknown degree law {law!r}")
 
 
@@ -154,14 +155,12 @@ class GenerationReport:
 
 
 def _balance_sequences(
-    kin: np.ndarray,
-    kout: np.ndarray,
-    in_explicit: bool,
-    out_explicit: bool,
-    rng: np.random.Generator,
+    kin: np.ndarray, kout: np.ndarray, in_law, out_law, rng: np.random.Generator
 ) -> int:
     """Equalize stub totals by adjusting a drawn side; explicit pairs
     that disagree are an error."""
+    in_explicit = isinstance(in_law, ExplicitDegreeLaw)
+    out_explicit = isinstance(out_law, ExplicitDegreeLaw)
     diff = int(kin.sum() - kout.sum())
     if diff == 0:
         return 0
@@ -250,13 +249,7 @@ def generate(cfg: GeneratorConfig) -> tuple[DirectedGraph, GenerationReport]:
     rng = np.random.default_rng(cfg.rng_seed)
     kin, clip_in = draw_degree_sequence(cfg.in_law, n, rng, n - 1)
     kout, clip_out = draw_degree_sequence(cfg.out_law, n, rng, n - 1)
-    adjustments = _balance_sequences(
-        kin,
-        kout,
-        isinstance(cfg.in_law, ExplicitDegreeLaw),
-        isinstance(cfg.out_law, ExplicitDegreeLaw),
-        rng,
-    )
+    adjustments = _balance_sequences(kin, kout, cfg.in_law, cfg.out_law, rng)
     total = int(kin.sum())
 
     target_pairs = int(round(cfg.target_reciprocity * total / 2.0))
@@ -331,13 +324,7 @@ def generate_decomposed(
     rng = np.random.default_rng(rng_seed)
     qin, clip_a = draw_degree_sequence(one_way_in_law, n, rng, n - 1)
     qout, clip_b = draw_degree_sequence(one_way_out_law, n, rng, n - 1)
-    adjustments = _balance_sequences(
-        qin,
-        qout,
-        isinstance(one_way_in_law, ExplicitDegreeLaw),
-        isinstance(one_way_out_law, ExplicitDegreeLaw),
-        rng,
-    )
+    adjustments = _balance_sequences(qin, qout, one_way_in_law, one_way_out_law, rng)
     qr, clip_c = draw_degree_sequence(mutual_law, n, rng, n - 1)
     if int(qr.sum()) % 2 == 1:
         qr[rng.integers(0, n)] += 1

@@ -16,7 +16,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import zeta as _hurwitz_zeta
 
 from .errors import (
     FitConvergenceError,
@@ -182,6 +181,13 @@ def crossed_heterogeneity(g: DirectedGraph) -> float:
 
 
 # -- truncated discrete power-law model --------------------------------
+
+
+def _hurwitz_zeta(s, q):
+    """sum_{k>=0} (k+q)^-s; scipy.special loads on the first call."""
+    from scipy.special import zeta
+
+    return zeta(s, q)
 
 
 def _zeta_range(gamma, lo, hi: int | None):

@@ -257,15 +257,27 @@ class UndirectedGraph:
 
     @property
     def triangles(self) -> np.ndarray:
-        """Triangles through each node, via sparse A^2 .* A row sums;
-        counted on first use and kept."""
+        """Triangles through each node, counted on first use and kept: each
+        edge is kept from its lower (degree, id) end, so the wedges inside
+        the oriented rows number O(m^1.5) whatever the hubs (Chiba &
+        Nishizeki 1985), and each triangle closes once, at its lowest end."""
         if self._triangles is None:
-            from scipy.sparse import csr_matrix
-
             n = self.node_count
-            ones = np.ones(len(self.targets), dtype=np.int64)
-            a = csr_matrix((ones, self.targets, self.offsets), shape=(n, n))
-            t = np.asarray((a @ a).multiply(a).sum(axis=1)).ravel().astype(np.int64) // 2
+            rank = np.empty(n, dtype=np.int64)
+            rank[np.argsort(self.degrees, kind="stable")] = np.arange(n)
+            up = rank[self.rows] < rank[self.targets]
+            # a subsequence of the sorted CSR: rows ascend, and heads within a row
+            src, dst = self.rows[up], self.targets[up].astype(np.int64)
+            keys = src * n + dst
+            idx = np.arange(len(src))
+            later = np.cumsum(np.bincount(src, minlength=n))[src] - idx - 1
+            # wedge (dst[a], dst[b]) for every b after a in a's row
+            a = np.repeat(idx, later)
+            b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(later) - later, later)
+            x, y = dst[a], dst[b]
+            wedge = np.where(rank[x] < rank[y], x * n + y, y * n + x)
+            closed = keys[np.minimum(np.searchsorted(keys, wedge), len(keys) - 1)] == wedge
+            t = np.bincount(np.concatenate([src[a[closed]], x[closed], y[closed]]), minlength=n)
             t.setflags(write=False)
             self._triangles = t
         return self._triangles

@@ -222,23 +222,16 @@ def reciprocal_knn(
 
 def clustering(sub: UndirectedGraph, node: int) -> float:
     """Fraction of realized links among one node's mutual partners:
-    2 n_link / (q_r (q_r - 1)). Undefined below degree 2."""
+    2 n_link / (q_r (q_r - 1)), from the subgraph's shared triangle
+    count. Undefined below degree 2."""
     if not 0 <= node < sub.node_count:
         raise IndexError(f"node id {node} out of range")
-    neigh = sub.neighbors(node)
-    d = len(neigh)
+    d = int(sub.degrees[node])
     if d < 2:
         raise UndefinedStatisticError(
             f"clustering undefined for node {node} with reciprocal degree {d}"
         )
-    links = 0
-    for a in neigh.tolist():
-        row = sub.neighbors(a)
-        idx = np.searchsorted(row, neigh)
-        idx[idx >= len(row)] = len(row) - 1 if len(row) else 0
-        if len(row):
-            links += int(np.count_nonzero(row[idx] == neigh))
-    return links / (d * (d - 1))
+    return 2 * int(sub.triangles[node]) / (d * (d - 1))
 
 
 def avg_clustering_by_degree(sub: UndirectedGraph) -> CorrelationProfile:

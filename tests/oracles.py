@@ -206,6 +206,17 @@ def clustering_bruteforce(n, pairs):
     return out
 
 
+def triangles_bruteforce(n, pairs):
+    """Triangles through each node: half the common neighbours summed
+    over the node's edges."""
+    adj = [set() for _ in range(n)]
+    for u, v in pairs:
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    return [sum(len(adj[u] & adj[v]) for v in adj[u]) // 2 for u in range(n)]
+
+
 def cumulative_bruteforce(degree_list, k):
     """Fraction of nodes with degree >= k, by direct count."""
     if not degree_list:

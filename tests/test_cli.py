@@ -124,6 +124,18 @@ class TestIngest:
         assert err.startswith("input error:")
         assert not (tmp_path / "new").exists()
 
+    def test_cache_under_a_missing_out_dir(self, edge_file, tmp_path, capsys):
+        out = tmp_path / "new" / "out"
+        code, stdout, err = run(
+            ["ingest", "--input", str(edge_file), "--cache", str(out / "g.wgl"),
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 0, err
+        assert json.loads(stdout)["ingest"]["edges"] == 3
+        assert (out / "g.wgl").exists()
+        assert (out / "ingest.json").read_text() == stdout
+
 
 class TestBowtie:
     def test_toy_fixture_percentages(self, toy_cache, capsys):
@@ -507,3 +519,42 @@ def test_cli_import_leaves_scipy_optimize_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# what each command may load of scipy, and what it must load to have
+# done its work: every process pays for its imports at start-up
+SCIPY_USE = {
+    "import": ((), ("scipy",)),
+    "ingest": ((), ("scipy",)),
+    "corr": ((), ("scipy",)),
+    "bowtie": (("scipy.sparse.csgraph",), ("scipy.special",)),
+    "degrees": (("scipy.special",), ("scipy.sparse",)),
+    "recip": (("scipy.special",), ("scipy.sparse",)),
+}
+
+
+@pytest.mark.parametrize("command", list(SCIPY_USE))
+def test_commands_load_only_the_scipy_they_compute_with(command, tmp_path):
+    edges = tmp_path / "edges.txt"
+    lines = [f"{i} {(7 * i + 3) % 20}\n{i} {(i + 1) % 20}\n{(i + 1) % 20} {i}\n" for i in range(20)]
+    edges.write_text("".join(lines))
+    argv = [] if command == "import" else [command, "--input", str(edges)]
+    script = (
+        "import sys\n"
+        "from linkgraph.cli import main\n"
+        "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        cwd=Path(__file__).parents[1] / "src",
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.splitlines()[-1].split()
+    assert code == "0", proc.stderr
+    needed, banned = SCIPY_USE[command]
+    for name in needed:
+        assert name in loaded
+    assert not [m for m in loaded if m.startswith(banned)]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from linkgraph import (
     Direction,
     ReciprocalKnnVariant,
     UndefinedStatisticError,
+    UndirectedGraph,
     avg_clustering_by_degree,
     clustering,
     conditional_means_nr,
@@ -261,6 +264,69 @@ class TestScatter:
                 assert np.isnan(c)
             else:
                 assert c == pytest.approx(want_c[int(node)], abs=1e-12)
+
+
+def hub_heavy(clique=8, fan=2000):
+    """Hub 0 joined to every node of a clique and of a long path (a fan)."""
+    pairs = [(u, v) for u in range(1, clique + 1) for v in range(u + 1, clique + 1)]
+    pairs += [(0, v) for v in range(1, clique + fan + 1)]
+    first = clique + 1
+    pairs += [(v, v + 1) for v in range(first, first + fan - 1)]
+    return clique + fan + 1, pairs
+
+
+# triangular prism: every degree is 3, so the orientation rests on ids alone
+PRISM = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+
+
+class TestTriangleKernel:
+    @pytest.mark.parametrize(
+        "n, pairs",
+        [
+            (0, []),
+            (3, []),
+            (2, [(0, 1)]),
+            (6, [(0, leaf) for leaf in range(1, 6)]),
+            (6, [(u, v) for u in range(6) for v in range(u + 1, 6)]),
+            (6, PRISM),
+            hub_heavy(),
+        ],
+        ids=["empty", "edgeless", "edge", "star", "clique", "ties", "hub"],
+    )
+    def test_matches_bruteforce(self, n, pairs):
+        sub = UndirectedGraph.from_pairs(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+        assert sub.triangles.tolist() == oracles.triangles_bruteforce(n, pairs)
+
+    def test_hub_costs_no_more_than_its_edges(self):
+        # wedges are listed only in degree-ordered rows; listed in the hub's
+        # row they would number fan^2 / 2, about 2M here
+        n, pairs = hub_heavy()
+        sub = UndirectedGraph.from_pairs(n, np.array(pairs))
+        tracemalloc.start()
+        try:
+            counts = sub.triangles
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert int(counts[0]) == 28 + 1999  # clique pairs, then path links
+        assert peak < 256 * len(sub.targets)
+
+
+@st.composite
+def undirected_pair_lists(draw):
+    n = draw(st.integers(min_value=0, max_value=25))
+    if n < 2:
+        return n, []
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return n, draw(st.lists(pair, max_size=120))
+
+
+@given(undirected_pair_lists())
+@settings(max_examples=50, deadline=None)
+def test_triangles_match_bruteforce(case):
+    n, pairs = case
+    sub = UndirectedGraph.from_pairs(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    assert sub.triangles.tolist() == oracles.triangles_bruteforce(n, pairs)
 
 
 @st.composite
