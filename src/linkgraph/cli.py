@@ -445,6 +445,10 @@ def _resolve_laws(args):
 
 
 def cmd_simulate(args) -> int:
+    if args.n < 1:
+        raise _UsageError("--n must be >= 1")
+    if not 0 <= args.reciprocity <= 1:  # NaN included
+        raise _UsageError("--reciprocity must lie in [0, 1]")
     in_law, out_law = _resolve_laws(args)
     if args.replicas < 1:
         raise _UsageError("--replicas must be >= 1")

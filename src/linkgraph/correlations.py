@@ -46,12 +46,6 @@ class CorrelationProfile:
     normalization: float | None
     note: str | None = None
 
-    @property
-    def stderr_normalized(self) -> np.ndarray | None:
-        if self.normalization is None:
-            return None
-        return self.stderr / self.normalization
-
 
 class KnnVariant(enum.Enum):
     """Directed nearest-neighbor profile selector.

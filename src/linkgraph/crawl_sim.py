@@ -40,7 +40,7 @@ from .errors import (
     ProvenanceError,
     UndefinedStatisticError,
 )
-from .graph import DirectedGraph, sorted_unique
+from .graph import DirectedGraph, _restrict, sorted_unique
 from .reciprocity import decompose
 
 # -- degree laws --------------------------------------------------------
@@ -192,25 +192,18 @@ def _balance_sequences(
 
 
 def _match_undirected(rng: np.random.Generator, deg: np.ndarray):
-    """Undirected stub matching: shuffle the stubs of ``deg`` and pair
-    adjacent slots. Self-pairs and repeated pairs are dropped; returns
-    the kept pairs as ``(lo, hi)`` with ``lo < hi``, then the number of
-    self pairs, of duplicate pairs, and of unpaired stubs (0 or 1)."""
+    """Undirected stub matching of an even stub total: shuffle the stubs
+    of ``deg`` and pair adjacent slots. Self-pairs and repeated pairs are
+    dropped; returns the kept pairs as ``(lo, hi)`` with ``lo < hi``, then
+    the number of self pairs and of duplicate pairs."""
     n = len(deg)
     slots = np.repeat(np.arange(n, dtype=np.int64), deg)
     rng.shuffle(slots)
-    half = len(slots) // 2
-    a, b = slots[: 2 * half : 2], slots[1 : 2 * half : 2]
+    a, b = slots[0::2], slots[1::2]
     keep = a != b
     a, b = a[keep], b[keep]
     pair_keys = sorted_unique(np.minimum(a, b) * n + np.maximum(a, b))
-    return (
-        pair_keys // n,
-        pair_keys % n,
-        int(half - len(a)),
-        int(len(a) - len(pair_keys)),
-        int(len(slots) - 2 * half),
-    )
+    return pair_keys // n, pair_keys % n, len(keep) - len(a), len(a) - len(pair_keys)
 
 
 def _match_directed(rng: np.random.Generator, rem_in: np.ndarray, rem_out: np.ndarray):
@@ -224,6 +217,32 @@ def _match_directed(rng: np.random.Generator, rem_in: np.ndarray, rem_out: np.nd
     u, v = out_stream[:m], in_stream[:m]
     keep = u != v
     return u[keep], v[keep], int(m - keep.sum())
+
+
+def _wire(
+    rng: np.random.Generator, qin: np.ndarray, qout: np.ndarray, qr: np.ndarray, **fields
+) -> tuple[DirectedGraph, GenerationReport]:
+    """Both generators' last step, and the one place a report is made:
+    pair the mutual stubs ``qr`` (an even total) by undirected stub
+    matching, then match the one-way stubs ``qin`` and ``qout``.
+    ``fields`` are the report fields fixed before wiring."""
+    lo, hi, self_m, dup_m = _match_undirected(rng, qr)
+    du, dv, self_d = _match_directed(rng, qin, qout)
+    n = len(qr)
+    u, v = np.concatenate([lo, hi, du]), np.concatenate([hi, lo, dv])
+    graph = DirectedGraph.from_edges(n, u, v)
+    realized = decompose(graph).reciprocity_fraction() if graph.edge_count else None
+    return graph, GenerationReport(
+        node_count=n,
+        edge_count=graph.edge_count,
+        realized_reciprocity=realized,
+        mutual_target_pairs=int(qr.sum()) // 2,
+        mutual_pairs_placed=len(lo),
+        conversion_shortfall=0,
+        self_loops_discarded=2 * self_m + self_d,
+        duplicates_discarded=2 * dup_m + len(u) - graph.edge_count,
+        **fields,
+    )
 
 
 def generate(cfg: GeneratorConfig) -> tuple[DirectedGraph, GenerationReport]:
@@ -263,43 +282,18 @@ def generate(cfg: GeneratorConfig) -> tuple[DirectedGraph, GenerationReport]:
         )
 
     stubs = np.repeat(np.arange(n, dtype=np.int64), offer)
-    picked = rng.choice(stubs, size=2 * target_pairs, replace=False)
-    m = np.bincount(picked, minlength=n)
-    lo, hi, self_m, dup_m, _ = _match_undirected(rng, m)
-    kin -= m
-    kout -= m
-
+    qr = np.bincount(rng.choice(stubs, size=2 * target_pairs, replace=False), minlength=n)
+    kin -= qr
+    kout -= qr
     stubs_dropped = 0
     if cfg.target_reciprocity == 1.0:
-        du = dv = np.empty(0, dtype=np.int64)
-        self_d = 0
         stubs_dropped = int(kin.sum() + kout.sum())
-    else:
-        du, dv, self_d = _match_directed(rng, kin, kout)
-
-    all_u = np.concatenate([lo, hi, du])
-    all_v = np.concatenate([hi, lo, dv])
-    graph = DirectedGraph.from_edges(n, all_u, all_v)
-
-    realized = None
-    if graph.edge_count:
-        realized = decompose(graph).reciprocity_fraction()
-    report = GenerationReport(
-        node_count=n,
-        requested_edges=total,
-        edge_count=graph.edge_count,
-        target_reciprocity=cfg.target_reciprocity,
-        realized_reciprocity=realized,
-        mutual_target_pairs=target_pairs,
-        mutual_pairs_placed=int(len(lo)),
-        conversion_shortfall=0,
-        self_loops_discarded=2 * self_m + self_d,
-        duplicates_discarded=2 * dup_m + len(all_u) - graph.edge_count,
-        clipped_draws=clip_in + clip_out,
-        balance_adjustments=adjustments,
+        kin = kout = np.zeros(n, dtype=np.int64)
+    return _wire(
+        rng, kin, kout, qr, requested_edges=total, target_reciprocity=cfg.target_reciprocity,
+        clipped_draws=clip_in + clip_out, balance_adjustments=adjustments,
         stubs_dropped=stubs_dropped,
     )
-    return graph, report
 
 
 def generate_decomposed(
@@ -326,35 +320,14 @@ def generate_decomposed(
     qout, clip_b = draw_degree_sequence(one_way_out_law, n, rng, n - 1)
     adjustments = _balance_sequences(qin, qout, one_way_in_law, one_way_out_law, rng)
     qr, clip_c = draw_degree_sequence(mutual_law, n, rng, n - 1)
-    if int(qr.sum()) % 2 == 1:
+    if int(qr.sum()) % 2 == 1:  # the matcher pairs every mutual stub
         qr[rng.integers(0, n)] += 1
         adjustments += 1
-
-    lo, hi, self_m, dup_m, odd = _match_undirected(rng, qr)
-    du, dv, self_d = _match_directed(rng, qin, qout)
-
-    all_u = np.concatenate([lo, hi, du])
-    all_v = np.concatenate([hi, lo, dv])
-    graph = DirectedGraph.from_edges(n, all_u, all_v)
-    realized = None
-    if graph.edge_count:
-        realized = decompose(graph).reciprocity_fraction()
-    report = GenerationReport(
-        node_count=n,
-        requested_edges=int(qin.sum() + qr.sum()),
-        edge_count=graph.edge_count,
-        target_reciprocity=None,
-        realized_reciprocity=realized,
-        mutual_target_pairs=int(qr.sum()) // 2,
-        mutual_pairs_placed=int(len(lo)),
-        conversion_shortfall=0,
-        self_loops_discarded=2 * self_m + self_d,
-        duplicates_discarded=2 * dup_m + len(all_u) - graph.edge_count,
-        clipped_draws=clip_a + clip_b + clip_c,
-        balance_adjustments=adjustments,
-        stubs_dropped=odd,
+    return _wire(
+        rng, qin, qout, qr, requested_edges=int(qin.sum() + qr.sum()), target_reciprocity=None,
+        clipped_draws=clip_a + clip_b + clip_c, balance_adjustments=adjustments,
+        stubs_dropped=0,
     )
-    return graph, report
 
 
 # -- crawling ------------------------------------------------------------
@@ -426,15 +399,10 @@ def simulate_crawl(g: DirectedGraph, cfg: CrawlConfig) -> CrawlOutcome:
     n = g.node_count
     if n == 0:
         raise ValueError("cannot crawl an empty graph")
-    seeds = []
-    seen = set()
-    for s in cfg.seeds:
-        s = int(s)
+    seeds = list(dict.fromkeys(int(s) for s in cfg.seeds))  # first occurrences, in order
+    for s in seeds:
         if not 0 <= s < n:
             raise IndexError(f"seed {s} out of range")
-        if s not in seen:
-            seen.add(s)
-            seeds.append(s)
     if not seeds:
         raise ValueError("at least one seed is required")
     budget = cfg.page_budget if cfg.page_budget is not None else n
@@ -446,11 +414,7 @@ def simulate_crawl(g: DirectedGraph, cfg: CrawlConfig) -> CrawlOutcome:
     fetch_order: list[int] = []
     frontier: list[int] = list(seeds)
     discovered[seeds] = True
-    rng = (
-        np.random.default_rng(cfg.rng_seed)
-        if cfg.strategy is CrawlStrategy.RANDOM_FRONTIER
-        else None
-    )
+    rng = np.random.default_rng(cfg.rng_seed)  # drawn from by RANDOM_FRONTIER only
     pop_head = 0  # BFS reads the list left to right without popping
 
     while len(fetch_order) < budget:
@@ -476,26 +440,15 @@ def simulate_crawl(g: DirectedGraph, cfg: CrawlConfig) -> CrawlOutcome:
                 discovered[v] = True
                 frontier.append(v)
 
-    if cfg.frontier_mode is FrontierMode.FETCHED_ONLY:
-        universe = np.flatnonzero(fetched_mask)
-    else:
-        universe = np.flatnonzero(discovered)
-
-    srcs, tgts = g.fwd_rows, g.fwd_targets
-    keep = fetched_mask[srcs]
-    if cfg.frontier_mode is FrontierMode.FETCHED_ONLY:
-        keep &= fetched_mask[tgts]
-    su = np.searchsorted(universe, srcs[keep])
-    sv = np.searchsorted(universe, tgts[keep])
-    orig = (
-        g.original_ids[universe] if g.original_ids is not None else universe.copy()
-    )
-    observed = DirectedGraph.from_edges(len(universe), su, sv, original_ids=orig)
+    # every head of a fetched page's edge is discovered; the mode picks which the graph keeps
+    universe = fetched_mask if cfg.frontier_mode is FrontierMode.FETCHED_ONLY else discovered
+    nodes = np.flatnonzero(universe)
+    observed = _restrict(g, nodes, fetched_mask[g.fwd_rows] & universe[g.fwd_targets])
     return CrawlOutcome(
         observed=observed,
         fetched=np.array(fetch_order, dtype=np.int64),
         discovered=np.flatnonzero(discovered),
-        observed_to_true=universe,
+        observed_to_true=nodes,
         config=cfg,
         true_fingerprint=graph_fingerprint(g),
     )

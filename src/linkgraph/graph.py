@@ -67,7 +67,7 @@ class DirectedGraph:
     The forward (out-neighbor) CSR with ascending rows is the graph; the
     reverse CSR is derived from it on first use. ``original_ids`` maps
     each dense id back to the id it carried in the source data; it is
-    ``None`` when the ids were already dense.
+    ``None`` when the ids were already dense. A faulty CSR raises ValueError.
     """
 
     __slots__ = (
@@ -89,6 +89,7 @@ class DirectedGraph:
         fwd_targets: np.ndarray,
         original_ids: np.ndarray | None = None,
     ):
+        _check_csr(int(node_count), fwd_offsets, fwd_targets)
         self.node_count = int(node_count)
         self.edge_count = int(len(fwd_targets))
         self.fwd_offsets = fwd_offsets
@@ -204,7 +205,7 @@ class UndirectedGraph:
     """Simple undirected graph as a symmetric sorted CSR.
 
     Every edge is stored in both endpoint rows, so ``len(targets)`` is
-    twice the edge count.
+    twice the edge count. A faulty CSR raises ValueError; symmetry is not checked.
     """
 
     __slots__ = ("node_count", "offsets", "targets", "original_ids", "_rows", "_triangles")
@@ -216,6 +217,7 @@ class UndirectedGraph:
         targets: np.ndarray,
         original_ids: np.ndarray | None = None,
     ):
+        _check_csr(int(node_count), offsets, targets)
         self.node_count = int(node_count)
         self.offsets = offsets
         self.targets = targets
@@ -302,6 +304,25 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
     keep[0] = True
     np.not_equal(keys[1:], keys[:-1], out=keep[1:])
     return keys[keep]
+
+
+def _check_csr(n: int, offsets: np.ndarray, targets: np.ndarray) -> None:
+    """Raise ValueError unless ``(offsets, targets)`` is a simple graph's
+    sorted CSR: offsets run from 0 to m and never decrease, targets lie in
+    ``0..n-1``, rows strictly ascend and no row holds its own node."""
+    m = len(targets)
+    sizes = np.diff(offsets)
+    if n < 0 or len(offsets) != n + 1 or offsets[0] != 0 or offsets[-1] != m or np.any(sizes < 0):
+        raise ValueError("inconsistent offset array")
+    if m and (targets.min() < 0 or targets.max() >= n):
+        raise ValueError("node id out of range in graph")
+    ascending = targets[1:] > targets[:-1]
+    starts = offsets[1:-1]
+    ascending[starts[(starts > 0) & (starts < m)] - 1] = True  # each row starts afresh
+    if not ascending.all():
+        raise ValueError("graph row not strictly ascending: unsorted or duplicate edge")
+    if np.any(np.repeat(np.arange(n, dtype=targets.dtype), sizes) == targets):
+        raise ValueError("self-loop in graph")
 
 
 def _csr_from_edges(n: int, src: np.ndarray, dst: np.ndarray):
@@ -629,19 +650,12 @@ def load_cache(data: bytes) -> DirectedGraph:
     original_ids = None
     if has_ids:
         original_ids = np.frombuffer(data, dtype="<i8", count=n, offset=len(data) - 8 * n)
-    # compiled traversals index with these arrays unchecked
-    if off[0] != 0 or off[-1] != m or np.any(off[1:] < off[:-1]):
-        raise CacheFormatError("inconsistent offset array")
-    if m and (tgt.min() < 0 or tgt.max() >= n):
-        raise CacheFormatError("node id out of range in cache")
-    if has_ids and np.any(np.diff(original_ids) <= 0):
-        raise CacheFormatError("original ids in cache not strictly ascending")
-    g = DirectedGraph(n, off, tgt, original_ids)
-    if np.any(np.diff(g.fwd_rows * n + tgt) <= 0):
-        raise CacheFormatError("cache row not strictly ascending: unsorted or duplicate edge")
-    if np.any(g.fwd_rows == tgt):
-        raise CacheFormatError("self-loop in cache")
-    return g
+        if np.any(np.diff(original_ids) <= 0):
+            raise CacheFormatError("original ids in cache not strictly ascending")
+    try:
+        return DirectedGraph(n, off, tgt, original_ids)
+    except ValueError as exc:  # the constructor's CSR checks, named for the cache
+        raise CacheFormatError(str(exc).replace("graph", "cache")) from None
 
 
 # -- derived graphs ----------------------------------------------------
@@ -668,10 +682,13 @@ def induced_subgraph(
         raise IndexError("subgraph node id out of range")
     member = np.zeros(g.node_count, dtype=bool)
     member[nodes] = True
-    u, v = g.fwd_rows, g.fwd_targets
-    keep = member[u] & member[v]
-    su = np.searchsorted(nodes, u[keep])
-    dv = np.searchsorted(nodes, v[keep])
+    return _restrict(g, nodes, member[g.fwd_rows] & member[g.fwd_targets]), nodes
+
+
+def _restrict(g: DirectedGraph, nodes: np.ndarray, keep_edges: np.ndarray) -> DirectedGraph:
+    """The graph on the sorted ids ``nodes``, compacted, of the edges of ``g``
+    where ``keep_edges`` is set (both ends in ``nodes``); input ids carry over."""
+    su = np.searchsorted(nodes, g.fwd_rows[keep_edges])
+    sv = np.searchsorted(nodes, g.fwd_targets[keep_edges])
     orig = g.original_ids[nodes] if g.original_ids is not None else nodes.copy()
-    sub = DirectedGraph.from_edges(len(nodes), su, dv, orig)
-    return sub, nodes
+    return DirectedGraph.from_edges(len(nodes), su, sv, orig)

@@ -412,6 +412,9 @@ class TestSimulate:
             ["--lambda-in", "1e300"],
             ["--lambda-out", "1e300"],
             ["--seed", "-1"],
+            ["--n", "0"],
+            ["--reciprocity", "2"],
+            ["--reciprocity", "nan"],
         ],
     )
     def test_invalid_settings_are_usage_errors(self, flags, capsys):

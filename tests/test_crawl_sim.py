@@ -28,6 +28,7 @@ from linkgraph.crawl_sim import (
 )
 
 from conftest import graph_of
+from oracles import random_digraph, reachability
 
 # diamond with a drain: 0 -> {1,2} -> 3 -> 4
 DIAMOND = [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]
@@ -353,6 +354,37 @@ class TestSimulateCrawl:
         out = simulate_crawl(g, CrawlConfig(seeds=(0,), strategy=CrawlStrategy.BFS))
         assert out.discovered.tolist() == [0]
         assert out.observed.node_count == 1
+
+
+@pytest.mark.parametrize("budget", [None, 4])
+@pytest.mark.parametrize("mode", list(FrontierMode))
+@pytest.mark.parametrize("strategy", list(CrawlStrategy))
+def test_observed_graph_matches_bruteforce(strategy, mode, budget):
+    for trial in range(25):
+        rng = np.random.default_rng(trial)
+        n = int(rng.integers(1, 40))
+        edges = random_digraph(rng, n, float(rng.uniform(0.02, 0.3)))
+        ids = np.sort(rng.choice(2**40, size=n, replace=False)) if trial % 3 else None
+        src, dst = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+        g = DirectedGraph.from_edges(n, src, dst, ids)
+        seeds = tuple(rng.choice(n, size=min(2, n), replace=False).tolist())
+        out = simulate_crawl(g, CrawlConfig(seeds, strategy, budget, mode, trial))
+
+        fetched = set(out.fetched.tolist())
+        assert len(fetched) == len(out.fetched) <= (budget or n)
+        discovered = set(seeds) | {v for u, v in edges if u in fetched}
+        assert out.discovered.tolist() == sorted(discovered)
+        if budget is None:  # an unlimited crawl fetches all the seeds reach
+            reach = reachability(n, edges)
+            assert fetched == {int(v) for s in seeds for v in np.flatnonzero(reach[s])}
+        kept = sorted(fetched if mode is FrontierMode.FETCHED_ONLY else discovered)
+        input_id = (lambda x: int(ids[x])) if ids is not None else int
+        assert out.observed_to_true.tolist() == kept
+        assert out.observed.original_ids.tolist() == [input_id(x) for x in kept]
+        obs, oid = out.observed, out.observed.original_ids.tolist()
+        got = {(oid[a], oid[b]) for a, b in zip(obs.fwd_rows.tolist(), obs.fwd_targets.tolist())}
+        want = {(input_id(u), input_id(v)) for u, v in edges if u in fetched and v in kept}
+        assert got == want
 
 
 class TestBiasReport:

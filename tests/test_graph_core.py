@@ -25,6 +25,7 @@ from linkgraph import graph as graph_module
 from linkgraph.graph import sorted_unique
 
 from conftest import CACHE_HEADER, TOY8_EDGES, cache_targets_at, reseal, v1_cache
+from oracles import random_digraph
 
 
 def _outcome(source):
@@ -326,6 +327,72 @@ class TestGraphStructure:
         ug = UndirectedGraph.from_pairs(3, np.array([[0, 1], [1, 0], [2, 2]]))
         assert ug.edge_count == 1
         assert ug.degrees.tolist() == [1, 1, 0]
+
+    def test_induced_subgraph_matches_bruteforce_on_sparse_ids(self):
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            n = int(rng.integers(1, 40))
+            edges = random_digraph(rng, n, float(rng.uniform(0.05, 0.3)))
+            ids = np.sort(rng.choice(2**40, size=n, replace=False))
+            src, dst = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+            g = DirectedGraph.from_edges(n, src, dst, ids)
+            pick = rng.integers(0, n, size=int(rng.integers(0, n + 1)))  # repeats, any order
+            sub, members = induced_subgraph(g, pick)
+            keep = sorted(set(pick.tolist()))
+            assert members.tolist() == keep
+            assert sub.original_ids.tolist() == [int(ids[x]) for x in keep]
+            oid = sub.original_ids.tolist()
+            got = {(oid[a], oid[b]) for a, b in zip(sub.fwd_rows.tolist(), sub.fwd_targets.tolist())}
+            want = {(int(ids[u]), int(ids[v])) for u, v in edges if u in keep and v in keep}
+            assert got == want
+
+
+@pytest.mark.parametrize("cls", [DirectedGraph, UndirectedGraph])
+class TestConstructorChecks:
+    # a 4-node CSR whose edges all leave node 0
+    @pytest.mark.parametrize(
+        "offsets, row0, message",
+        [
+            ([0, 3, 2, 3, 3], [1, 2, 3], "inconsistent offset array"),
+            ([0, 3, 3, 3, 4], [1, 2, 3], "inconsistent offset array"),
+            ([1, 3, 3, 3, 3], [1, 2, 3], "inconsistent offset array"),
+            ([0, 3, 3, 3], [1, 2, 3], "inconsistent offset array"),
+            ([0, 3, 3, 3, 3], [1, 2, 4], "node id out of range"),
+            ([0, 3, 3, 3, 3], [-1, 2, 3], "node id out of range"),
+            ([0, 3, 3, 3, 3], [2, 1, 3], "not strictly ascending"),
+            # unchecked, a repeated target stalled bowtie in scipy's SCC search
+            ([0, 3, 3, 3, 3], [1, 2, 2], "duplicate edge"),
+            ([0, 3, 3, 3, 3], [0, 2, 3], "self-loop"),
+        ],
+        ids=["decreasing", "past-m", "not-from-0", "short", "above-n", "negative",
+             "unsorted", "duplicate", "self-loop"],
+    )
+    def test_faulty_csr_rejected(self, cls, offsets, row0, message):
+        with pytest.raises(ValueError, match=message):
+            cls(4, np.array(offsets), np.array(row0, dtype=np.int32))
+
+    def test_rows_ascend_each_on_its_own(self, cls):
+        # rows [2, 3], [], [1] and []: targets fall where a row starts
+        g = cls(4, np.array([0, 2, 2, 3, 3]), np.array([2, 3, 1], dtype=np.int32))
+        assert g.node_count == 4
+
+    def test_empty_graph_accepted(self, cls):
+        assert cls(0, np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int32)).node_count == 0
+
+    def test_negative_node_count_rejected(self, cls):
+        with pytest.raises(ValueError, match="inconsistent offset array"):
+            cls(-1, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32))
+
+
+def test_undirected_constructor_rejects_reversed_rows():
+    # the triangle count searches the sorted rows: unchecked, these
+    # reversed rows counted 16 triangles in place of 315
+    rng = np.random.default_rng(0)
+    ug = UndirectedGraph.from_pairs(40, rng.integers(0, 40, size=(300, 2)))
+    assert int(ug.triangles.sum()) // 3 == 315
+    rev = np.concatenate([ug.neighbors(v)[::-1] for v in range(40)])
+    with pytest.raises(ValueError, match="not strictly ascending"):
+        UndirectedGraph(40, ug.offsets.copy(), rev)
 
 
 class TestCache:
