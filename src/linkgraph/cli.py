@@ -69,6 +69,8 @@ from .reciprocity import (
 
 DEFAULT_SEED = 1
 ENV_PREFIX = "LINKGRAPH_"
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("", "0", "false", "no", "off")
 
 log = logging.getLogger("linkgraph")
 
@@ -92,7 +94,10 @@ def _add(parser: argparse.ArgumentParser, *names, **kw) -> None:
     if key in os.environ:
         raw = os.environ[key]
         if kw.get("action") == "store_true":
-            kw["default"] = raw.strip().lower() in ("1", "true", "yes", "on")
+            flag = raw.strip().lower()
+            if flag not in _TRUE + _FALSE:
+                raise _UsageError(f"environment variable {key}={raw!r} is not a boolean")
+            kw["default"] = flag in _TRUE
         else:
             caster = kw.get("type", str)
             try:
@@ -385,11 +390,9 @@ def cmd_recip(args) -> int:
     files = {"recip_qr_histogram.csv": export.histogram_csv(hist, cumulative(hist))}
     for key, profile in conditional_means_nr(d).items():
         files[f"recip_{key}.csv"] = export.profile_csv(profile)
-    sub = reciprocal_subgraph(d, graph.original_ids)
+    sub = reciprocal_subgraph(d)
     for variant in ReciprocalKnnVariant:
-        files[f"recip_knn_{variant.value}.csv"] = export.profile_csv(
-            reciprocal_knn(d, variant, sub)
-        )
+        files[f"recip_knn_{variant.value}.csv"] = export.profile_csv(reciprocal_knn(d, variant))
     try:
         files["recip_subgraph_knn.csv"] = export.profile_csv(knn_undirected(sub))
     except UndefinedStatisticError as exc:
@@ -398,7 +401,7 @@ def cmd_recip(args) -> int:
     if args.per_node:
         files["recip_decomposition.csv"] = export.decomposition_csv(d, graph)
     if args.scatter:
-        files["recip_scatter.csv"] = export.scatter_csv(reciprocal_scatter(d, sub), sub)
+        files["recip_scatter.csv"] = export.scatter_csv(reciprocal_scatter(d), sub)
     if args.export_subgraph:
         files["recip_subgraph_edges.txt"] = export.edge_list_text(sub)
     _emit(args, doc, files)

@@ -67,7 +67,8 @@ class DirectedGraph:
     The forward (out-neighbor) CSR with ascending rows is the graph; the
     reverse CSR is derived from it on first use. ``original_ids`` maps
     each dense id back to the id it carried in the source data; it is
-    ``None`` when the ids were already dense. A faulty CSR raises ValueError.
+    ``None`` when the ids were already dense. A faulty CSR or id array
+    raises ValueError.
     """
 
     __slots__ = (
@@ -80,6 +81,7 @@ class DirectedGraph:
         "_in_degrees",
         "_fwd_rows",
         "_rev",
+        "_mutual",
     )
 
     def __init__(
@@ -89,7 +91,7 @@ class DirectedGraph:
         fwd_targets: np.ndarray,
         original_ids: np.ndarray | None = None,
     ):
-        _check_csr(int(node_count), fwd_offsets, fwd_targets)
+        _check_csr(int(node_count), fwd_offsets, fwd_targets, original_ids)
         self.node_count = int(node_count)
         self.edge_count = int(len(fwd_targets))
         self.fwd_offsets = fwd_offsets
@@ -102,6 +104,7 @@ class DirectedGraph:
         self._in_degrees = None
         self._fwd_rows = None
         self._rev = None
+        self._mutual = None
 
     # -- construction -------------------------------------------------
 
@@ -181,6 +184,21 @@ class DirectedGraph:
             self._fwd_rows = r
         return self._fwd_rows
 
+    @property
+    def mutual(self) -> np.ndarray:
+        """Whether each forward CSR edge u->v has its reverse v->u: tested on
+        first use and kept, the one place the mutual test is made."""
+        if self._mutual is None:
+            n = self.node_count
+            keys = self.fwd_rows * n + self.fwd_targets  # ascending
+            # v->u is the entry (row u, source v) of the reverse CSR
+            rev_keys = np.repeat(np.arange(n, dtype=np.int64) * n, self.in_degrees)
+            rev_keys += self.rev_sources
+            m = rev_keys[np.minimum(np.searchsorted(rev_keys, keys), len(rev_keys) - 1)] == keys
+            m.setflags(write=False)
+            self._mutual = m
+        return self._mutual
+
     def has_edge(self, u: int, v: int) -> bool:
         row = self.out_neighbors(u)
         i = np.searchsorted(row, v)
@@ -205,7 +223,8 @@ class UndirectedGraph:
     """Simple undirected graph as a symmetric sorted CSR.
 
     Every edge is stored in both endpoint rows, so ``len(targets)`` is
-    twice the edge count. A faulty CSR raises ValueError; symmetry is not checked.
+    twice the edge count. A faulty CSR or id array raises ValueError;
+    symmetry is not checked.
     """
 
     __slots__ = ("node_count", "offsets", "targets", "original_ids", "_rows", "_triangles")
@@ -217,7 +236,7 @@ class UndirectedGraph:
         targets: np.ndarray,
         original_ids: np.ndarray | None = None,
     ):
-        _check_csr(int(node_count), offsets, targets)
+        _check_csr(int(node_count), offsets, targets, original_ids)
         self.node_count = int(node_count)
         self.offsets = offsets
         self.targets = targets
@@ -226,20 +245,6 @@ class UndirectedGraph:
         targets.setflags(write=False)
         self._rows = None
         self._triangles = None
-
-    @classmethod
-    def from_pairs(
-        cls, node_count: int, pairs: np.ndarray, original_ids: np.ndarray | None = None
-    ) -> "UndirectedGraph":
-        """Build from an array of (u, v) endpoint pairs; order and
-        duplicates do not matter, self-pairs are dropped."""
-        n = int(node_count)
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        u, v = pairs[:, 0], pairs[:, 1]
-        keep = u != v
-        u, v = u[keep], v[keep]
-        off, tgt = _csr_from_edges(n, np.concatenate([u, v]), np.concatenate([v, u]))
-        return cls(n, off, tgt, original_ids)
 
     @property
     def edge_count(self) -> int:
@@ -306,10 +311,13 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
-def _check_csr(n: int, offsets: np.ndarray, targets: np.ndarray) -> None:
+def _check_csr(n: int, offsets: np.ndarray, targets: np.ndarray, ids: np.ndarray | None) -> None:
     """Raise ValueError unless ``(offsets, targets)`` is a simple graph's
     sorted CSR: offsets run from 0 to m and never decrease, targets lie in
-    ``0..n-1``, rows strictly ascend and no row holds its own node."""
+    ``0..n-1``, rows strictly ascend and no row holds its own node; and
+    unless ``ids`` is None or one integer per node."""
+    if ids is not None and (getattr(ids, "shape", None) != (n,) or ids.dtype.kind not in "iu"):
+        raise ValueError("original ids are not a 1-D integer array of one id per node")
     m = len(targets)
     sizes = np.diff(offsets)
     if n < 0 or len(offsets) != n + 1 or offsets[0] != 0 or offsets[-1] != m or np.any(sizes < 0):

@@ -24,59 +24,46 @@ from .graph import DirectedGraph, UndirectedGraph, neighbor_value_sums
 class ReciprocalDecomposition:
     """Per-node split of degrees into reciprocal and one-way parts.
 
-    ``reciprocal_pairs`` lists each mutual pair once as (u, v) with
-    u < v; ``nonreciprocal_edges`` lists the remaining directed edges.
+    ``subgraph`` is the undirected graph of the mutual pairs, with the
+    directed graph's input ids; its degrees are ``q_r``. The one-way
+    edges are the forward edges outside ``DirectedGraph.mutual``.
     """
 
     node_count: int
     q_in: np.ndarray
     q_out: np.ndarray
     q_r: np.ndarray
-    reciprocal_pairs: np.ndarray
-    nonreciprocal_edges: np.ndarray
+    subgraph: UndirectedGraph
+
+    @property
+    def reciprocal_pairs(self) -> np.ndarray:
+        """Each mutual pair once as (u, v) with u < v, in CSR order."""
+        rows, targets = self.subgraph.rows, self.subgraph.targets
+        half = rows < targets
+        return np.stack([rows[half], targets[half].astype(np.int64)], axis=1)
 
     @property
     def reciprocal_edge_count(self) -> int:
         """Directed edges that belong to mutual pairs."""
-        return 2 * len(self.reciprocal_pairs)
+        return len(self.subgraph.targets)
 
     def reciprocity_fraction(self) -> float:
-        m = self.reciprocal_edge_count + len(self.nonreciprocal_edges)
+        m = self.reciprocal_edge_count + int(self.q_in.sum())  # one-way edges: one q_in each
         if m == 0:
             raise UndefinedStatisticError("reciprocity of an edgeless graph")
         return self.reciprocal_edge_count / m
 
 
 def decompose(g: DirectedGraph) -> ReciprocalDecomposition:
-    """Split every edge into mutual-pair or one-way and count per node."""
+    """Count each node's mutual and one-way edges from ``g.mutual``. The
+    mutual edges in forward CSR order are the subgraph's sorted,
+    symmetric CSR, so it is made without a sort."""
     n = g.node_count
-    u = g.fwd_rows
-    v = g.fwd_targets.astype(np.int64)
-    if g.edge_count == 0:
-        zeros = np.zeros(n, dtype=np.int64)
-        return ReciprocalDecomposition(
-            n,
-            zeros,
-            zeros.copy(),
-            zeros.copy(),
-            np.empty((0, 2), dtype=np.int64),
-            np.empty((0, 2), dtype=np.int64),
-        )
-    keys = u * n + v  # ascending; u->v is mutual when v is in rev row u
-    rev_keys = np.repeat(np.arange(n, dtype=np.int64) * n, g.in_degrees) + g.rev_sources
-    pos = np.searchsorted(rev_keys, keys)
-    pos[pos >= len(rev_keys)] = len(rev_keys) - 1
-    mutual = rev_keys[pos] == keys
-
-    q_r = np.bincount(u[mutual], minlength=n).astype(np.int64)
-    q_in = g.in_degrees.astype(np.int64) - q_r
-    q_out = g.out_degrees.astype(np.int64) - q_r
-
-    mu, mv = u[mutual], v[mutual]
-    half = mu < mv
-    pairs = np.stack([mu[half], mv[half]], axis=1)
-    one_way = np.stack([u[~mutual], v[~mutual]], axis=1)
-    return ReciprocalDecomposition(n, q_in, q_out, q_r, pairs, one_way)
+    q_r = np.bincount(g.fwd_rows[g.mutual], minlength=n)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(q_r, out=offsets[1:])
+    sub = UndirectedGraph(n, offsets, g.fwd_targets[g.mutual], g.original_ids)
+    return ReciprocalDecomposition(n, g.in_degrees - q_r, g.out_degrees - q_r, q_r, sub)
 
 
 def r_degree_stats(
@@ -158,20 +145,14 @@ class ReciprocalKnnVariant(enum.Enum):
     OUT_NN_OF_OUT = "r_out_nn_of_out"
 
 
-def reciprocal_subgraph(
-    d: ReciprocalDecomposition, original_ids: np.ndarray | None = None
-) -> UndirectedGraph:
+def reciprocal_subgraph(d: ReciprocalDecomposition) -> UndirectedGraph:
     """Undirected graph of mutual pairs on the full id space; the degree
-    of node v is exactly q_r(v). ``original_ids`` are the directed
-    graph's, so exports print input ids."""
-    return UndirectedGraph.from_pairs(d.node_count, d.reciprocal_pairs, original_ids)
+    of node v is exactly q_r(v). It carries the directed graph's input
+    ids, so exports print them."""
+    return d.subgraph
 
 
-def reciprocal_knn(
-    d: ReciprocalDecomposition,
-    variant: ReciprocalKnnVariant,
-    sub: UndirectedGraph | None = None,
-) -> CorrelationProfile:
+def reciprocal_knn(d: ReciprocalDecomposition, variant: ReciprocalKnnVariant) -> CorrelationProfile:
     """Average neighbor q_in or q_out over mutual partners, conditioned
     on the node's own q_in or q_out.
 
@@ -181,8 +162,6 @@ def reciprocal_knn(
     q_in and <q_r q_out>/<q_r> for neighbor q_out; when <q_r> or the
     normalizer is zero the profile is flagged undefined.
     """
-    if sub is None:
-        sub = reciprocal_subgraph(d)
     q_r = d.q_r
     s_r = int(q_r.sum())
     if variant in (ReciprocalKnnVariant.IN_NN_OF_IN, ReciprocalKnnVariant.IN_NN_OF_OUT):
@@ -207,7 +186,7 @@ def reciprocal_knn(
         note = None if norm is not None else "zero reciprocal-crossed normalizer"
 
     sums = neighbor_value_sums(
-        sub.rows, sub.targets, qty.astype(np.float64), d.node_count
+        d.subgraph.rows, d.subgraph.targets, qty.astype(np.float64), d.node_count
     )
     mask = q_r > 0
     values = np.zeros(d.node_count)
@@ -248,15 +227,12 @@ def avg_clustering_by_degree(sub: UndirectedGraph) -> CorrelationProfile:
     )
 
 
-def reciprocal_scatter(
-    d: ReciprocalDecomposition, sub: UndirectedGraph | None = None
-) -> np.ndarray:
+def reciprocal_scatter(d: ReciprocalDecomposition) -> np.ndarray:
     """Raw per-node scatter rows (node, q_r, mean neighbor q_r,
     clustering) over nodes with q_r >= 1; clustering is NaN below
     degree 2. Exposes the full point cloud so multi-modal patterns are
     not averaged away."""
-    if sub is None:
-        sub = reciprocal_subgraph(d)
+    sub = d.subgraph
     deg = sub.degrees.astype(np.int64)
     members = np.flatnonzero(deg >= 1)
     sums = neighbor_value_sums(

@@ -452,6 +452,24 @@ class TestEnvAndFormat:
         code, _, err = run(["degrees", "--input", str(edge_file)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("raw, written", [(" Yes ", True), ("OFF", False), ("", False)])
+    def test_boolean_env_values(self, toy_cache, tmp_path, monkeypatch, capsys, raw, written):
+        monkeypatch.setenv("LINKGRAPH_CLASSES", raw)
+        out_dir = tmp_path / "res"
+        code, _, _ = run(["bowtie", "--cache", str(toy_cache), "--out", str(out_dir)], capsys)
+        assert code == 0
+        assert (out_dir / "bowtie_classes.csv").exists() is written
+
+    def test_garbage_boolean_env_is_usage_error(self, toy_cache, tmp_path, monkeypatch, capsys):
+        # read as false, it exited 0 and silently wrote no class file
+        monkeypatch.setenv("LINKGRAPH_CLASSES", "maybe")
+        out_dir = tmp_path / "res"
+        code, out, err = run(["bowtie", "--cache", str(toy_cache), "--out", str(out_dir)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "LINKGRAPH_CLASSES='maybe'" in err
+        assert not out_dir.exists()
+
     def test_json_format_folds_tables(self, toy_cache, tmp_path, capsys):
         out_dir = tmp_path / "j"
         code, out, _ = run(

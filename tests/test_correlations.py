@@ -4,11 +4,11 @@ import pytest
 from linkgraph import (
     KnnVariant,
     UndefinedStatisticError,
-    UndirectedGraph,
     avg_out_given_in,
     crossed_one_point,
     directed_knn,
     knn_undirected,
+    undirected_view,
 )
 from linkgraph.correlations import normalized_product_ratio
 
@@ -137,7 +137,7 @@ class TestKnnUndirected:
             pairs = np.argwhere(mat)
             if len(pairs) == 0:
                 continue
-            ug = UndirectedGraph.from_pairs(n, pairs)
+            ug = undirected_view(graph_of(n, pairs))
             p = knn_undirected(ug)
             want, kappa = oracles.knn_undirected_bruteforce(
                 n, [tuple(r) for r in pairs.tolist()]
@@ -152,14 +152,14 @@ class TestKnnUndirected:
         # hub degree n-1 sees only leaves (degree 1); leaves see the hub
         n = 6
         pairs = np.array([[0, i] for i in range(1, n)])
-        p = knn_undirected(UndirectedGraph.from_pairs(n, pairs))
+        p = knn_undirected(undirected_view(graph_of(n, pairs)))
         got = profile_as_dict(p)
         assert got[n - 1] == pytest.approx(1.0)
         assert got[1] == pytest.approx(n - 1)
 
     def test_edgeless_raises(self):
         with pytest.raises(UndefinedStatisticError):
-            knn_undirected(UndirectedGraph.from_pairs(3, np.empty((0, 2), dtype=np.int64)))
+            knn_undirected(undirected_view(graph_of(3, [])))
 
 
 class TestDirectedKnn:

@@ -157,8 +157,7 @@ class TestEdgeList:
             "5 17\n5 1099511627776\n5 123456789012\n17 1099511627776\n"
         )
         assert export.edge_list_text(reciprocal_subgraph(decompose(g))) == "0 1\n1 2\n"
-        d = decompose(g)
-        assert export.edge_list_text(reciprocal_subgraph(d, SPARSE4)) == (
+        assert export.edge_list_text(reciprocal_subgraph(decompose(with_ids(g, SPARSE4)))) == (
             "5 17\n17 1099511627776\n"
         )
 

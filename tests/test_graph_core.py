@@ -24,7 +24,7 @@ from linkgraph import (
 from linkgraph import graph as graph_module
 from linkgraph.graph import sorted_unique
 
-from conftest import CACHE_HEADER, TOY8_EDGES, cache_targets_at, reseal, v1_cache
+from conftest import CACHE_HEADER, TOY8_EDGES, cache_targets_at, graph_of, reseal, v1_cache
 from oracles import random_digraph
 
 
@@ -323,8 +323,8 @@ class TestGraphStructure:
         assert members.tolist() == [1, 2, 3]
         assert sub.original_ids.tolist() == [1, 2, 3]
 
-    def test_undirected_from_pairs_dedups(self):
-        ug = UndirectedGraph.from_pairs(3, np.array([[0, 1], [1, 0], [2, 2]]))
+    def test_undirected_view_dedups(self):
+        ug = undirected_view(graph_of(3, [(0, 1), (1, 0), (2, 2)]))
         assert ug.edge_count == 1
         assert ug.degrees.tolist() == [1, 1, 0]
 
@@ -383,12 +383,29 @@ class TestConstructorChecks:
         with pytest.raises(ValueError, match="inconsistent offset array"):
             cls(-1, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32))
 
+    @pytest.mark.parametrize(
+        "ids",
+        # unchecked, one id for three nodes made edge_list_text raise IndexError
+        [np.array([7]), np.array([7, 8, 9, 10]), np.zeros((3, 1), dtype=np.int64),
+         np.array([1.0, 2.0, 3.0]), np.array([True, False, True]), [7, 8, 9]],
+        ids=["short", "long", "2-d", "float", "bool", "list"],
+    )
+    def test_faulty_ids_rejected(self, cls, ids):
+        # the path 0 -> 1 -> 2: a valid CSR for both classes, as symmetry is not checked
+        with pytest.raises(ValueError, match="original ids"):
+            cls(3, np.array([0, 1, 2, 2]), np.array([1, 2], dtype=np.int32), original_ids=ids)
+
+    @pytest.mark.parametrize("ids", [None, np.array([5, 17, 2**40]), np.arange(3, dtype=np.uint32)])
+    def test_integer_ids_accepted(self, cls, ids):
+        g = cls(3, np.array([0, 1, 2, 2]), np.array([1, 2], dtype=np.int32), original_ids=ids)
+        assert g.original_ids is ids
+
 
 def test_undirected_constructor_rejects_reversed_rows():
     # the triangle count searches the sorted rows: unchecked, these
     # reversed rows counted 16 triangles in place of 315
     rng = np.random.default_rng(0)
-    ug = UndirectedGraph.from_pairs(40, rng.integers(0, 40, size=(300, 2)))
+    ug = undirected_view(graph_of(40, rng.integers(0, 40, size=(300, 2))))
     assert int(ug.triangles.sum()) // 3 == 315
     rev = np.concatenate([ug.neighbors(v)[::-1] for v in range(40)])
     with pytest.raises(ValueError, match="not strictly ascending"):

@@ -6,19 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkgraph import (
+    DirectedGraph,
     Direction,
+    GeneratorConfig,
+    PoissonDegreeLaw,
     ReciprocalKnnVariant,
     UndefinedStatisticError,
-    UndirectedGraph,
     avg_clustering_by_degree,
     clustering,
     conditional_means_nr,
     crossed_one_point_nr,
     decompose,
+    degree_histogram,
+    generate,
     r_degree_stats,
     reciprocal_knn,
     reciprocal_scatter,
     reciprocal_subgraph,
+    undirected_view,
 )
 
 import oracles
@@ -42,12 +47,17 @@ def fixture_decomposition():
 
 class TestDecompose:
     def test_fixture_split(self):
-        d = fixture_decomposition()
+        g = graph_of(FIX_N, FIX_EDGES)
+        d = decompose(g)
         assert d.q_in.tolist() == [0, 1, 1]
         assert d.q_out.tolist() == [1, 0, 1]
         assert d.q_r.tolist() == [1, 1, 0]
         assert d.reciprocal_pairs.tolist() == [[0, 1]]
-        assert sorted(map(tuple, d.nonreciprocal_edges.tolist())) == [(0, 2), (2, 1)]
+        one_way = ~g.mutual
+        assert list(zip(g.fwd_rows[one_way].tolist(), g.fwd_targets[one_way].tolist())) == [
+            (0, 2),
+            (2, 1),
+        ]
         assert d.reciprocity_fraction() == pytest.approx(0.5)
 
     def test_degree_split_identity(self, toy8):
@@ -90,6 +100,51 @@ class TestDecompose:
         hist, summary = r_degree_stats(d)
         assert hist.direction is Direction.RECIPROCAL
         assert summary.mean == pytest.approx(2 / 3)
+
+
+def random_graphs(seed=41, count=20):
+    """Random digraphs with sparse 40-bit ids on every other one, after
+    the empty and the edgeless graph."""
+    rng = np.random.default_rng(seed)
+    yield DirectedGraph.from_edges(0, [], []), []
+    yield graph_of(5, []), []
+    for i in range(count):
+        n = int(rng.integers(2, 40))
+        edges = oracles.random_digraph(rng, n, float(rng.uniform(0.02, 0.4)))
+        ids = np.sort(rng.choice(2**40, size=n, replace=False)) if i % 2 else None
+        src, dst = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+        yield DirectedGraph.from_edges(n, src, dst, ids), edges
+
+
+class TestMutualMask:
+    def test_matches_reverse_edge_presence(self):
+        for g, edges in random_graphs():
+            es = set(edges)
+            forward = zip(g.fwd_rows.tolist(), g.fwd_targets.tolist())
+            assert g.mutual.tolist() == [(v, u) in es for u, v in forward]
+
+    def test_subgraph_is_the_view_of_the_mutual_edges(self):
+        for g, edges in random_graphs():
+            es = set(edges)
+            mutual = [(u, v) for u, v in edges if (v, u) in es]
+            src, dst = np.array(mutual, dtype=np.int64).reshape(-1, 2).T
+            want = undirected_view(DirectedGraph.from_edges(g.node_count, src, dst))
+            d = decompose(g)
+            assert np.array_equal(d.subgraph.offsets, want.offsets)
+            assert np.array_equal(d.subgraph.targets, want.targets)
+            assert d.subgraph.original_ids is g.original_ids
+            assert np.array_equal(d.subgraph.degrees, d.q_r)
+            assert reciprocal_subgraph(d) is d.subgraph
+
+    def test_computed_once_and_read_only(self):
+        g, _ = generate(GeneratorConfig(500, PoissonDegreeLaw(4.0), PoissonDegreeLaw(4.0), 0.3, 3))
+        left = g._mutual  # the realized reciprocity of the report read it
+        assert left is not None
+        decompose(g)
+        degree_histogram(g, Direction.RECIPROCAL)
+        assert g.mutual is left
+        with pytest.raises(ValueError, match="read-only"):
+            left[0] = not left[0]
 
 
 class TestCrossedRatios:
@@ -242,7 +297,7 @@ class TestScatter:
         sub = reciprocal_subgraph(d)
         avg_clustering_by_degree(sub)
         counted = sub.triangles
-        reciprocal_scatter(d, sub)
+        reciprocal_scatter(d)
         assert sub.triangles is counted
         assert counted.tolist() == [1, 1, 1, 0]
 
@@ -251,7 +306,7 @@ class TestScatter:
         edges = oracles.random_digraph(rng, 25, 0.3)
         d = decompose(graph_of(25, edges))
         sub = reciprocal_subgraph(d)
-        rows = reciprocal_scatter(d, sub)
+        rows = reciprocal_scatter(d)
         members = np.flatnonzero(d.q_r >= 1)
         assert rows.shape == (len(members), 4)
         assert rows[:, 0].astype(int).tolist() == members.tolist()
@@ -294,14 +349,14 @@ class TestTriangleKernel:
         ids=["empty", "edgeless", "edge", "star", "clique", "ties", "hub"],
     )
     def test_matches_bruteforce(self, n, pairs):
-        sub = UndirectedGraph.from_pairs(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+        sub = undirected_view(graph_of(n, pairs))
         assert sub.triangles.tolist() == oracles.triangles_bruteforce(n, pairs)
 
     def test_hub_costs_no_more_than_its_edges(self):
         # wedges are listed only in degree-ordered rows; listed in the hub's
         # row they would number fan^2 / 2, about 2M here
         n, pairs = hub_heavy()
-        sub = UndirectedGraph.from_pairs(n, np.array(pairs))
+        sub = undirected_view(graph_of(n, pairs))
         tracemalloc.start()
         try:
             counts = sub.triangles
@@ -325,7 +380,7 @@ def undirected_pair_lists(draw):
 @settings(max_examples=50, deadline=None)
 def test_triangles_match_bruteforce(case):
     n, pairs = case
-    sub = UndirectedGraph.from_pairs(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    sub = undirected_view(graph_of(n, pairs))
     assert sub.triangles.tolist() == oracles.triangles_bruteforce(n, pairs)
 
 
@@ -350,4 +405,8 @@ def test_decomposition_identities(case):
     assert (d.q_in + d.q_r == g.in_degrees).all()
     assert (d.q_out + d.q_r == g.out_degrees).all()
     assert int(d.q_r.sum()) == 2 * len(d.reciprocal_pairs)
-    assert d.reciprocal_edge_count + len(d.nonreciprocal_edges) == g.edge_count
+    es = set(edges)
+    one_way = {(u, v) for u, v in es if (v, u) not in es}
+    got = set(zip(g.fwd_rows[~g.mutual].tolist(), g.fwd_targets[~g.mutual].tolist()))
+    assert got == one_way
+    assert d.reciprocal_edge_count + len(one_way) == g.edge_count
