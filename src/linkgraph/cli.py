@@ -54,7 +54,7 @@ from .errors import (
     ProvenanceError,
     UndefinedStatisticError,
 )
-from .graph import build_from_edge_list, load_cache, save_cache
+from .graph import _MAX_NODES, build_from_edge_list, load_cache, save_cache
 from .reciprocity import (
     ReciprocalKnnVariant,
     avg_clustering_by_degree,
@@ -448,8 +448,11 @@ def _resolve_laws(args):
 
 
 def cmd_simulate(args) -> int:
-    if args.n < 1:
-        raise _UsageError("--n must be >= 1")
+    if not 1 <= args.n <= _MAX_NODES:  # the generator stores ids as int32
+        raise _UsageError(f"--n must lie in [1, {_MAX_NODES}]")
+    for side, cutoff in (("in", args.cutoff_in), ("out", args.cutoff_out)):
+        if cutoff is not None and cutoff > args.n - 1:  # no node has more neighbors
+            raise _UsageError(f"--cutoff-{side} must be <= n - 1 = {args.n - 1}")
     if not 0 <= args.reciprocity <= 1:  # NaN included
         raise _UsageError("--reciprocity must lie in [0, 1]")
     in_law, out_law = _resolve_laws(args)

@@ -16,12 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedStatisticError
-from .graph import (
-    DirectedGraph,
-    UndirectedGraph,
-    exact_product_sum,
-    neighbor_value_sums,
-)
+from .graph import DirectedGraph, UndirectedGraph, exact_product_sum
 
 
 @dataclass(frozen=True)
@@ -72,23 +67,13 @@ def class_profile(
 ) -> CorrelationProfile:
     """Group per-node ``values`` into classes of ``x`` over ``mask``.
 
-    Shared by every profile in this module and the reciprocal ones.
+    Shared by every profile in this module and the reciprocal ones. A
+    normalizer of None or 0 leaves ``mean_normalized`` None; an empty
+    mask gives empty arrays. Unless ``note`` is given, those cases are
+    noted "no qualifying nodes", then "normalization undefined".
     """
     x = np.asarray(x, dtype=np.int64)[mask]
     v = np.asarray(values, dtype=np.float64)[mask]
-    if len(x) == 0:
-        empty = np.empty(0)
-        return CorrelationProfile(
-            x_kind,
-            y_label,
-            np.empty(0, dtype=np.int64),
-            empty,
-            empty if normalization else None,
-            np.empty(0, dtype=np.int64),
-            empty,
-            normalization,
-            note or "no qualifying nodes",
-        )
     counts = np.bincount(x)
     sums = np.bincount(x, weights=v)
     sqsums = np.bincount(x, weights=v * v)
@@ -100,33 +85,33 @@ def class_profile(
         var = np.maximum(var, 0.0)
         stderr = np.sqrt(var / n_k)
     stderr[n_k < 2] = np.nan
-    if normalization is None or normalization == 0:
-        return CorrelationProfile(
-            x_kind,
-            y_label,
-            present.astype(np.int64),
-            mean,
-            None,
-            n_k.astype(np.int64),
-            stderr,
-            None,
-            note or "normalization undefined",
-        )
+    normalization = float(normalization) if normalization else None
+    if not note and len(x) == 0:
+        note = "no qualifying nodes"
+    elif not note and normalization is None:
+        note = "normalization undefined"
     return CorrelationProfile(
         x_kind,
         y_label,
         present.astype(np.int64),
         mean,
-        mean / normalization,
+        None if normalization is None else mean / normalization,
         n_k.astype(np.int64),
         stderr,
-        float(normalization),
+        normalization,
         note,
     )
 
 
-def _mean(values: np.ndarray) -> float:
-    return float(np.asarray(values, dtype=np.float64).mean())
+def _conditional_mean(
+    x: np.ndarray, y: np.ndarray, x_kind: str, y_label: str, zero_note: str
+) -> CorrelationProfile:
+    """Class mean of ``y`` over the classes of ``x``, every node counted,
+    divided by the mean of ``y``; ``zero_note`` when that mean is zero."""
+    mean_y = float(np.asarray(y, dtype=np.float64).mean()) if len(y) else 0.0
+    everyone = np.ones(len(x), dtype=bool)
+    note = None if mean_y > 0 else zero_note
+    return class_profile(x, y, everyone, mean_y, x_kind, y_label, note=note)
 
 
 def avg_out_given_in(g: DirectedGraph) -> CorrelationProfile:
@@ -135,32 +120,17 @@ def avg_out_given_in(g: DirectedGraph) -> CorrelationProfile:
     nothing here divides by a node's own degree."""
     if g.node_count == 0:
         raise UndefinedStatisticError("profile of an empty graph")
-    kin = g.in_degrees
-    kout = g.out_degrees.astype(np.float64)
-    mean_out = _mean(kout)
-    mask = np.ones(g.node_count, dtype=bool)
-    return class_profile(
-        kin,
-        kout,
-        mask,
-        mean_out if mean_out > 0 else None,
-        "k_in",
-        "mean_k_out",
-        note=None if mean_out > 0 else "mean out-degree is zero",
+    return _conditional_mean(
+        g.in_degrees, g.out_degrees, "k_in", "mean_k_out", "mean out-degree is zero"
     )
 
 
 def crossed_one_point(g: DirectedGraph) -> float:
     """<k_in k_out> / (<k_in><k_out>): 1 on degree-independent graphs."""
-    if g.edge_count == 0:
+    m = g.edge_count  # the sum of either degree
+    if m == 0:
         raise UndefinedStatisticError("one-point ratio of an edgeless graph")
-    kin = np.asarray(g.in_degrees, dtype=np.int64)
-    kout = np.asarray(g.out_degrees, dtype=np.int64)
-    n = g.node_count
-    num = exact_product_sum(kin, kout)
-    s_in = int(kin.sum())
-    s_out = int(kout.sum())
-    return (num * n) / (s_in * s_out)
+    return exact_product_sum(g.in_degrees, g.out_degrees) * g.node_count / (m * m)
 
 
 def normalized_product_ratio(
@@ -189,6 +159,27 @@ def normalized_product_ratio(
     return float(ratio), float(np.sqrt(max(var, 0.0)))
 
 
+def _knn_sides(variant: enum.Enum, kind: type) -> tuple[str, str]:
+    """(averaged side, conditioning side) of a ``kind`` member, each "in"
+    or "out", read from the member name that both knn enums share:
+    ``OUT_NN_OF_IN`` gives ("out", "in")."""
+    if not isinstance(variant, kind):
+        raise ValueError(f"unknown variant {variant!r}")
+    averaged, _, _, conditioning = variant.name.lower().split("_")
+    return averaged, conditioning
+
+
+def _neighbor_means(
+    rows: np.ndarray, targets: np.ndarray, qty: np.ndarray, count: np.ndarray
+) -> np.ndarray:
+    """Per-node mean of ``qty`` over the neighbors along one CSR
+    direction, the edges ``rows[e] -> targets[e]``; ``count`` is each
+    node's neighbor count. NaN where a node has no neighbor."""
+    sums = np.bincount(rows, weights=qty[targets], minlength=len(count))
+    with np.errstate(invalid="ignore"):
+        return sums / count
+
+
 def knn_undirected(ug: UndirectedGraph) -> CorrelationProfile:
     """Average neighbor degree per degree class of an undirected graph.
 
@@ -202,11 +193,8 @@ def knn_undirected(ug: UndirectedGraph) -> CorrelationProfile:
     if total == 0:
         raise UndefinedStatisticError("neighbor profile of an edgeless graph")
     kappa = exact_product_sum(deg, deg) / total
-    sums = neighbor_value_sums(ug.rows, ug.targets, deg.astype(np.float64), ug.node_count)
-    mask = deg > 0
-    values = np.zeros(ug.node_count)
-    values[mask] = sums[mask] / deg[mask]
-    return class_profile(deg, values, mask, kappa, "degree", "mean_neighbor_degree")
+    knn = _neighbor_means(ug.rows, ug.targets, deg, deg)
+    return class_profile(deg, knn, deg > 0, kappa, "degree", "mean_neighbor_degree")
 
 
 def directed_knn(g: DirectedGraph, variant: KnnVariant) -> CorrelationProfile:
@@ -214,46 +202,30 @@ def directed_knn(g: DirectedGraph, variant: KnnVariant) -> CorrelationProfile:
 
     For a node i the per-node value is the sum of the chosen neighbor
     degree over the chosen neighbor set, divided by i's conditioning
-    degree; the class mean is then divided by the matching ratio
-    (kappa_out, kappa_in, or the crossed sum(k_in k_out)/sum(k_in)) so
-    an uncorrelated graph reads 1 at every class. Nodes whose
-    conditioning degree is zero have no neighbor set and are excluded.
+    degree (the size of that set); the class mean is then divided by
+    sum(qty * w)/m, w = k_out over in-neighbors and k_in over out-neighbors
+    (kappa_out, kappa_in, or the crossed sum(k_in k_out)/m), so an
+    uncorrelated graph reads 1 at every class. Nodes whose conditioning
+    degree is zero have no neighbor set and are excluded.
     """
-    kin = g.in_degrees.astype(np.int64)
-    kout = g.out_degrees.astype(np.int64)
     if g.edge_count == 0:
         raise UndefinedStatisticError("neighbor profile of an edgeless graph")
-
-    s_in = int(kin.sum())  # == s_out == edge count
-    kappa_in = exact_product_sum(kin, kin) / s_in
-    kappa_out = exact_product_sum(kout, kout) / s_in
-    kappa_cross = exact_product_sum(kin, kout) / s_in
-
-    # in-neighbor sums read the forward edges head first: each head's
-    # tails arrive in ascending order, as a reverse CSR would give them
-    if variant is KnnVariant.IN_NN_OF_IN:
-        cond, qty, rows, tgts, norm = kin, kin, g.fwd_targets, g.fwd_rows, kappa_cross
-    elif variant is KnnVariant.OUT_NN_OF_IN:
-        cond, qty, rows, tgts, norm = kin, kout, g.fwd_targets, g.fwd_rows, kappa_out
-    elif variant is KnnVariant.IN_NN_OF_OUT:
-        cond, qty, rows, tgts, norm = kout, kin, g.fwd_rows, g.fwd_targets, kappa_in
-    elif variant is KnnVariant.OUT_NN_OF_OUT:
-        cond, qty, rows, tgts, norm = kout, kout, g.fwd_rows, g.fwd_targets, kappa_cross
+    averaged, conditioning = _knn_sides(variant, KnnVariant)
+    deg = {"in": g.in_degrees, "out": g.out_degrees}
+    cond, qty = deg[conditioning], deg[averaged]
+    if conditioning == "in":
+        # in-neighbor sums read the forward edges head first: each head's
+        # tails arrive in ascending order, as a reverse CSR would give them
+        rows, targets, w = g.fwd_targets, g.fwd_rows, deg["out"]
     else:
-        raise ValueError(f"unknown variant {variant!r}")
-
-    sums = neighbor_value_sums(rows, tgts, qty.astype(np.float64), g.node_count)
-    mask = cond > 0
-    values = np.zeros(g.node_count)
-    values[mask] = sums[mask] / cond[mask]
-    x_kind = "k_in" if cond is kin else "k_out"
-    y_label = f"mean_nn_{'k_in' if qty is kin else 'k_out'}"
+        rows, targets, w = g.fwd_rows, g.fwd_targets, deg["in"]
+    norm = exact_product_sum(qty, w) / g.edge_count
     return class_profile(
         cond,
-        values,
-        mask,
-        norm if norm > 0 else None,
-        x_kind,
-        y_label,
+        _neighbor_means(rows, targets, qty, cond),
+        cond > 0,
+        norm,
+        f"k_{conditioning}",
+        f"mean_nn_k_{averaged}",
         note=None if norm > 0 else "normalizing ratio is zero",
     )

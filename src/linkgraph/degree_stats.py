@@ -22,7 +22,7 @@ from .errors import (
     PowerLawFitError,
     UndefinedStatisticError,
 )
-from .graph import DirectedGraph, exact_product_sum, undirected_view
+from .graph import DirectedGraph, exact_product_sum
 
 # Fixed plausibility threshold for the KS goodness flag.
 KS_PLAUSIBLE_THRESHOLD = 0.05
@@ -116,18 +116,21 @@ class CumulativeCurve:
 
 
 def degree_histogram(g: DirectedGraph, direction: Direction) -> DegreeHistogram:
-    """Histogram of in-, out-, undirected, or reciprocal degrees."""
+    """Histogram of in-, out-, undirected, or reciprocal degrees. The
+    undirected degree is k_in + k_out - q_r: a mutual pair is one
+    neighbor."""
     if direction is Direction.IN:
         return DegreeHistogram.from_values(g.in_degrees, direction)
     if direction is Direction.OUT:
         return DegreeHistogram.from_values(g.out_degrees, direction)
-    if direction is Direction.UNDIRECTED:
-        return DegreeHistogram.from_values(undirected_view(g).degrees, direction)
-    if direction is Direction.RECIPROCAL:
-        from .reciprocity import decompose  # local import avoids a module cycle
+    if direction not in (Direction.UNDIRECTED, Direction.RECIPROCAL):
+        raise ValueError(f"unknown direction {direction!r}")
+    from .reciprocity import decompose  # local import avoids a module cycle
 
-        return DegreeHistogram.from_values(decompose(g).q_r, direction)
-    raise ValueError(f"unknown direction {direction!r}")
+    q_r = decompose(g).q_r
+    if direction is Direction.UNDIRECTED:
+        return DegreeHistogram.from_values(g.in_degrees + g.out_degrees - q_r, direction)
+    return DegreeHistogram.from_values(q_r, direction)
 
 
 def cumulative(h: DegreeHistogram) -> CumulativeCurve:

@@ -362,17 +362,6 @@ def exact_product_sum(*factors: np.ndarray) -> int:
     return sum(math.prod(t) for t in zip(*(f.tolist() for f in factors)))
 
 
-def neighbor_value_sums(
-    rows: np.ndarray, targets: np.ndarray, values: np.ndarray, node_count: int
-) -> np.ndarray:
-    """Per-node sum of ``values[neighbor]`` over one CSR direction."""
-    if len(targets) == 0:
-        return np.zeros(node_count, dtype=np.float64)
-    return np.bincount(
-        rows, weights=values[targets].astype(np.float64), minlength=node_count
-    )
-
-
 # -- edge-list ingest --------------------------------------------------
 
 # The fast path reads decompressed bytes in pieces of about this size,

@@ -14,10 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import CorrelationProfile, class_profile, normalized_product_ratio
+from .correlations import (
+    CorrelationProfile,
+    _conditional_mean,
+    _knn_sides,
+    _neighbor_means,
+    class_profile,
+    normalized_product_ratio,
+)
 from .degree_stats import DegreeHistogram, DegreeSummary, Direction, summarize
 from .errors import UndefinedStatisticError
-from .graph import DirectedGraph, UndirectedGraph, neighbor_value_sums
+from .graph import DirectedGraph, UndirectedGraph, exact_product_sum
 
 
 @dataclass(frozen=True)
@@ -111,24 +118,14 @@ def conditional_means_nr(
     """One-point conditional profiles over the decomposition:
     mean q_out per q_in class, and mean q_r per q_in and per q_out
     class, each normalized by the corresponding global mean."""
-    profiles = {}
-    all_nodes = np.ones(d.node_count, dtype=bool)
-    for key, x, y, x_kind, y_label in (
-        ("q_out_given_q_in", d.q_in, d.q_out, "q_in", "mean_q_out"),
-        ("q_r_given_q_in", d.q_in, d.q_r, "q_in", "mean_q_r"),
-        ("q_r_given_q_out", d.q_out, d.q_r, "q_out", "mean_q_r"),
-    ):
-        mean_y = float(np.asarray(y, dtype=np.float64).mean()) if d.node_count else 0.0
-        profiles[key] = class_profile(
-            x,
-            y.astype(np.float64),
-            all_nodes,
-            mean_y if mean_y > 0 else None,
-            x_kind,
-            y_label,
-            note=None if mean_y > 0 else f"mean {y_label[5:]} is zero",
+    return {
+        key: _conditional_mean(x, y, x_kind, f"mean_{y_name}", f"mean {y_name} is zero")
+        for key, x, y, x_kind, y_name in (
+            ("q_out_given_q_in", d.q_in, d.q_out, "q_in", "q_out"),
+            ("q_r_given_q_in", d.q_in, d.q_r, "q_in", "q_r"),
+            ("q_r_given_q_out", d.q_out, d.q_r, "q_out", "q_r"),
         )
-    return profiles
+    }
 
 
 class ReciprocalKnnVariant(enum.Enum):
@@ -162,37 +159,24 @@ def reciprocal_knn(d: ReciprocalDecomposition, variant: ReciprocalKnnVariant) ->
     q_in and <q_r q_out>/<q_r> for neighbor q_out; when <q_r> or the
     normalizer is zero the profile is flagged undefined.
     """
-    q_r = d.q_r
-    s_r = int(q_r.sum())
-    if variant in (ReciprocalKnnVariant.IN_NN_OF_IN, ReciprocalKnnVariant.IN_NN_OF_OUT):
-        qty = d.q_in
-        qty_name = "q_in"
-    else:
-        qty = d.q_out
-        qty_name = "q_out"
-    if variant in (ReciprocalKnnVariant.IN_NN_OF_IN, ReciprocalKnnVariant.OUT_NN_OF_IN):
-        cond = d.q_in
-        cond_name = "q_in"
-    else:
-        cond = d.q_out
-        cond_name = "q_out"
-
+    averaged, conditioning = _knn_sides(variant, ReciprocalKnnVariant)
+    q = {"in": d.q_in, "out": d.q_out}
+    qty = q[averaged]
+    s_r = int(d.q_r.sum())
     if s_r == 0:
-        norm = None
-        note = "no reciprocal links; normalizer undefined"
+        norm, note = None, "no reciprocal links; normalizer undefined"
     else:
-        norm_val = float(np.dot(q_r.astype(np.float64), qty.astype(np.float64)) / s_r)
-        norm = norm_val if norm_val > 0 else None
-        note = None if norm is not None else "zero reciprocal-crossed normalizer"
-
-    sums = neighbor_value_sums(
-        d.subgraph.rows, d.subgraph.targets, qty.astype(np.float64), d.node_count
-    )
-    mask = q_r > 0
-    values = np.zeros(d.node_count)
-    values[mask] = sums[mask] / q_r[mask]
+        norm = exact_product_sum(d.q_r, qty) / s_r
+        note = None if norm > 0 else "zero reciprocal-crossed normalizer"
+    sub = d.subgraph
     return class_profile(
-        cond, values, mask, norm, cond_name, f"mean_rnn_{qty_name}", note=note
+        q[conditioning],
+        _neighbor_means(sub.rows, sub.targets, qty, d.q_r),
+        d.q_r > 0,
+        norm,
+        f"q_{conditioning}",
+        f"mean_rnn_q_{averaged}",
+        note=note,
     )
 
 
@@ -213,17 +197,22 @@ def clustering(sub: UndirectedGraph, node: int) -> float:
     return 2 * int(sub.triangles[node]) / (d * (d - 1))
 
 
+def _clustering_values(sub: UndirectedGraph) -> np.ndarray:
+    """Per-node clustering 2 t / (q_r (q_r - 1)) from the subgraph's
+    triangle count; NaN below degree 2."""
+    deg = sub.degrees.astype(np.float64)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        values = 2.0 * sub.triangles / (deg * (deg - 1.0))
+    values[deg < 2] = np.nan
+    return values
+
+
 def avg_clustering_by_degree(sub: UndirectedGraph) -> CorrelationProfile:
     """Mean clustering per reciprocal-degree class, over nodes with
     q_r >= 2. No normalization applies; ``mean_normalized`` is None."""
-    deg = sub.degrees.astype(np.int64)
-    mask = deg >= 2
-    tri = sub.triangles
-    values = np.zeros(sub.node_count)
-    dd = deg[mask].astype(np.float64)
-    values[mask] = 2.0 * tri[mask] / (dd * (dd - 1.0))
+    deg = sub.degrees
     return class_profile(
-        deg, values, mask, None, "q_r", "mean_clustering", note="unnormalized"
+        deg, _clustering_values(sub), deg >= 2, None, "q_r", "mean_clustering", note="unnormalized"
     )
 
 
@@ -233,20 +222,8 @@ def reciprocal_scatter(d: ReciprocalDecomposition) -> np.ndarray:
     degree 2. Exposes the full point cloud so multi-modal patterns are
     not averaged away."""
     sub = d.subgraph
-    deg = sub.degrees.astype(np.int64)
+    deg = sub.degrees
     members = np.flatnonzero(deg >= 1)
-    sums = neighbor_value_sums(
-        sub.rows, sub.targets, deg.astype(np.float64), sub.node_count
-    )
-    knn = sums[members] / deg[members]
-    tri = sub.triangles
-    cvals = np.full(len(members), np.nan)
-    big = deg[members] >= 2
-    dd = deg[members][big].astype(np.float64)
-    cvals[big] = 2.0 * tri[members][big] / (dd * (dd - 1.0))
-    out = np.empty((len(members), 4), dtype=np.float64)
-    out[:, 0] = members
-    out[:, 1] = deg[members]
-    out[:, 2] = knn
-    out[:, 3] = cvals
-    return out
+    knn = _neighbor_means(sub.rows, sub.targets, deg, deg)
+    columns = members, deg[members], knn[members], _clustering_values(sub)[members]
+    return np.stack(columns, axis=1)  # the int columns promote to float64

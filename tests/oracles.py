@@ -184,6 +184,14 @@ def reciprocal_knn_bruteforce(n, edges, cond, qty):
     return class_means(xs, ys)
 
 
+def reciprocal_knn_norm_bruteforce(n, edges, qty):
+    """<q_r q>/<q_r> for q = q_in or q_out; None without a mutual pair."""
+    q_in, q_out, q_r, _ = reciprocity_bruteforce(n, edges)
+    q = {"in": q_in, "out": q_out}[qty]
+    s_r = sum(q_r)
+    return sum(a * b for a, b in zip(q_r, q)) / s_r if s_r else None
+
+
 def clustering_bruteforce(n, pairs):
     """Per-node clustering over an undirected pair list; dict over
     nodes of degree >= 2."""

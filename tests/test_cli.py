@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from linkgraph import save_cache
+from linkgraph import cli, save_cache
 from linkgraph.cli import main
 
 from conftest import TOY8_EDGES, TOY8_N, cache_targets_at, graph_of, reseal, v1_cache
@@ -415,9 +415,18 @@ class TestSimulate:
             ["--n", "0"],
             ["--reciprocity", "2"],
             ["--reciprocity", "nan"],
+            # both laws set, so no default law's mean is computed; these
+            # asked for a 74.5 GiB arange and a 16 GiB Poisson draw
+            ["--gamma-in", "2.1", "--cutoff-in", "10000000000", "--lambda-out", "1"],
+            ["--lambda-in", "1", "--gamma-out", "2.1", "--cutoff-out", "200"],
+            ["--n", "2147483648", "--lambda-in", "1", "--lambda-out", "1"],
         ],
     )
-    def test_invalid_settings_are_usage_errors(self, flags, capsys):
+    def test_invalid_settings_are_usage_errors(self, flags, capsys, monkeypatch):
+        def no_run(*args):  # a flag that slips through fails here, unallocated
+            raise AssertionError("simulate ran")
+
+        monkeypatch.setattr(cli, "run_ensemble", no_run)
         code, _, err = run(["simulate", "--n", "200", *flags], capsys)
         assert code == 2
         assert "Traceback" not in err

@@ -10,7 +10,7 @@ from linkgraph import (
     knn_undirected,
     undirected_view,
 )
-from linkgraph.correlations import normalized_product_ratio
+from linkgraph.correlations import class_profile, normalized_product_ratio
 
 import oracles
 from conftest import graph_of
@@ -26,6 +26,55 @@ VARIANT_AXES = {
 def profile_as_dict(profile, normalized=False):
     ys = profile.mean_normalized if normalized else profile.mean_raw
     return dict(zip(profile.degrees.tolist(), ys.tolist()))
+
+
+class TestClassProfile:
+    X = np.array([3, 1, 3, 3, 0, 1])
+    V = np.array([1.0, 2.0, 4.0, 7.0, 5.0, 6.0])
+
+    def test_classes_means_and_stderr(self):
+        mask = np.array([True, True, True, True, True, False])
+        p = class_profile(self.X, self.V, mask, 2.0, "k", "y")
+        assert p.degrees.tolist() == [0, 1, 3] and p.degrees.dtype == np.int64
+        assert p.n_k.tolist() == [1, 1, 3] and p.n_k.dtype == np.int64
+        assert p.mean_raw.tolist() == [5.0, 2.0, 4.0]
+        assert p.mean_normalized.tolist() == [2.5, 1.0, 2.0]
+        assert p.normalization == 2.0 and p.note is None
+        # singleton classes have no spread to estimate
+        assert np.isnan(p.stderr[:2]).all()
+        assert p.stderr[2] == pytest.approx(np.std([1.0, 4.0, 7.0], ddof=1) / np.sqrt(3))
+
+    @pytest.mark.parametrize("normalization", [None, 0, 0.0])
+    def test_missing_normalizer(self, normalization):
+        p = class_profile(self.X, self.V, self.X >= 0, normalization, "k", "y")
+        assert p.mean_raw.tolist() == [5.0, 4.0, 4.0]
+        assert p.mean_normalized is None and p.normalization is None
+        assert p.note == "normalization undefined"
+
+    def test_empty_mask_keeps_normalizer(self):
+        p = class_profile(self.X, self.V, self.X < 0, 2.0, "k", "y")
+        for arr in (p.degrees, p.n_k):
+            assert arr.shape == (0,) and arr.dtype == np.int64
+        for arr in (p.mean_raw, p.mean_normalized, p.stderr):
+            assert arr.shape == (0,) and arr.dtype == np.float64
+        assert p.normalization == 2.0
+        assert p.note == "no qualifying nodes"
+
+    @pytest.mark.parametrize("normalization", [None, 0])
+    def test_empty_mask_without_normalizer(self, normalization):
+        p = class_profile(self.X, self.V, self.X < 0, normalization, "k", "y")
+        assert len(p.degrees) == 0 and len(p.mean_raw) == 0
+        assert p.mean_normalized is None and p.normalization is None
+        # the empty mask is named, not the normalizer
+        assert p.note == "no qualifying nodes"
+
+    @pytest.mark.parametrize(
+        "empty, normalization", [(True, 2.0), (True, None), (False, None), (False, 2.0)]
+    )
+    def test_given_note_wins(self, empty, normalization):
+        mask = self.X < 0 if empty else self.X >= 0
+        p = class_profile(self.X, self.V, mask, normalization, "k", "y", note="caller")
+        assert p.note == "caller"
 
 
 class TestAvgOutGivenIn:
@@ -176,11 +225,17 @@ class TestDirectedKnn:
     def test_matches_bruteforce(self, variant):
         cond, qty = VARIANT_AXES[variant]
         rng = np.random.default_rng(25)
-        checked = 0
+        # an edgeless graph, then sources feeding sinks: no mutual pair and no
+        # node with both in- and out-links, so the crossed normalizer is 0
+        cases = [(4, []), (6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 5)])]
         for _ in range(12):
             n = int(rng.integers(3, 40))
-            edges = oracles.random_digraph(rng, n, 0.1)
+            cases.append((n, oracles.random_digraph(rng, n, 0.1)))
+        checked = 0
+        for n, edges in cases:
             if not edges:
+                with pytest.raises(UndefinedStatisticError, match="edgeless"):
+                    directed_knn(graph_of(n, edges), variant)
                 continue
             p = directed_knn(graph_of(n, edges), variant)
             want = oracles.directed_knn_bruteforce(n, edges, cond, qty)
@@ -191,6 +246,10 @@ class TestDirectedKnn:
             norm = oracles.directed_knn_norm_bruteforce(n, edges, cond, qty)
             if norm > 0:
                 assert p.normalization == pytest.approx(norm, abs=1e-12)
+                assert p.note is None
+            else:
+                assert p.normalization is None and p.mean_normalized is None
+                assert p.note == "normalizing ratio is zero"
             checked += 1
         assert checked > 5
 

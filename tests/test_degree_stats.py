@@ -22,6 +22,7 @@ from linkgraph import degree_stats as ds
 from linkgraph.graph import exact_product_sum
 
 import oracles
+from conftest import graph_of
 
 
 def hist_of(values, direction=Direction.IN):
@@ -38,6 +39,25 @@ class TestHistogram:
         for d in (Direction.IN, Direction.OUT):
             h = degree_histogram(toy8, d)
             assert int(h.counts.sum()) == toy8.node_count
+
+    def test_undirected_and_reciprocal_match_bruteforce(self):
+        # a mutual pair is one undirected neighbor and one reciprocal one
+        rng = np.random.default_rng(26)
+        cases = [(0, []), (3, []), (2, [(0, 1), (1, 0)])]
+        for _ in range(10):
+            n = int(rng.integers(2, 40))
+            cases.append((n, oracles.random_digraph(rng, n, float(rng.choice([0.05, 0.3])))))
+        for n, edges in cases:
+            g = graph_of(n, edges)
+            und = [len({v for u, v in edges if u == i} | {u for u, v in edges if v == i})
+                   for i in range(n)]
+            _, _, q_r, _ = oracles.reciprocity_bruteforce(n, edges)
+            for direction, want in ((Direction.UNDIRECTED, und), (Direction.RECIPROCAL, q_r)):
+                h = degree_histogram(g, direction)
+                ref = hist_of(want, direction)
+                assert h.degrees.tolist() == ref.degrees.tolist()
+                assert h.counts.tolist() == ref.counts.tolist()
+                assert h.total_nodes == n
 
     def test_sparse_support(self):
         h = hist_of([0, 0, 1000000])

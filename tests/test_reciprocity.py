@@ -197,20 +197,31 @@ class TestReciprocalKnn:
     def test_matches_bruteforce(self, variant):
         cond, qty = R_VARIANT_AXES[variant]
         rng = np.random.default_rng(33)
-        checked = 0
+        # an edgeless graph, a chain with no mutual pair, and a lone mutual
+        # pair whose partners have no one-way links: a zero normalizer
+        cases = [(4, []), (5, [(0, 1), (1, 2), (2, 3), (0, 4)]), (3, [(0, 1), (1, 0)])]
         for _ in range(12):
             n = int(rng.integers(4, 35))
-            edges = oracles.random_digraph(rng, n, 0.3)
-            d = decompose(graph_of(n, edges))
-            if d.q_r.sum() == 0:
-                continue
-            p = reciprocal_knn(d, variant)
+            cases.append((n, oracles.random_digraph(rng, n, 0.3)))
+        checked = 0
+        for n, edges in cases:
+            p = reciprocal_knn(decompose(graph_of(n, edges)), variant)
             want = oracles.reciprocal_knn_bruteforce(n, edges, cond, qty)
             got = dict(zip(p.degrees.tolist(), p.mean_raw.tolist()))
             assert got.keys() == want.keys()
             for k in want:
                 assert got[k] == pytest.approx(want[k], abs=1e-12)
-            checked += 1
+            norm = oracles.reciprocal_knn_norm_bruteforce(n, edges, qty)
+            if norm is None:
+                assert p.normalization is None and p.mean_normalized is None
+                assert p.note == "no reciprocal links; normalizer undefined"
+            elif norm == 0:
+                assert p.normalization is None and p.mean_normalized is None
+                assert p.note == "zero reciprocal-crossed normalizer"
+            else:
+                assert p.normalization == pytest.approx(norm, abs=1e-12)
+                assert p.note is None
+                checked += 1
         assert checked > 5
 
     def test_planted_assortative_profile_increases(self):
