@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
         p,
         "--direction",
         type=str,
-        choices=("in", "out", "undirected", "reciprocal", "all"),
+        choices=[d.value for d in Direction] + ["all"],
         default="all",
     )
     _add(p, "--kmin", type=int, default=None, help="fixed lower fit cutoff (default: scan)")
@@ -307,14 +307,6 @@ def cmd_bowtie(args) -> int:
     return 0
 
 
-_DIRECTIONS = {
-    "in": Direction.IN,
-    "out": Direction.OUT,
-    "undirected": Direction.UNDIRECTED,
-    "reciprocal": Direction.RECIPROCAL,
-}
-
-
 def _fit_or_error(hist, kmin):
     try:
         if kmin is not None:
@@ -326,11 +318,12 @@ def _fit_or_error(hist, kmin):
 
 def cmd_degrees(args) -> int:
     graph = _load_graph(args)
-    wanted = list(_DIRECTIONS) if args.direction == "all" else [args.direction]
+    wanted = list(Direction) if args.direction == "all" else [Direction(args.direction)]
     doc = {}
     files = {}
-    for name in wanted:
-        hist = degree_histogram(graph, _DIRECTIONS[name])
+    for direction in wanted:
+        name = direction.value
+        hist = degree_histogram(graph, direction)
         curve = cumulative(hist)
         summary = summarize(hist)
         fit, fit_error = _fit_or_error(hist, args.kmin)
@@ -569,6 +562,10 @@ def main(argv=None) -> int:
         ProvenanceError,
     ) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:  # a size every check admits can still not fit
+        reason = str(exc) or "allocation failed"
+        print(f"computation error: out of memory: {reason}", file=sys.stderr)
         return 4
 
 

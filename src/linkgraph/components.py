@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DirectedGraph
+from .graph import DirectedGraph, _filter_csr
 
 
 class BowTieClass(enum.Enum):
@@ -121,15 +121,6 @@ def _reach_mask(offsets: np.ndarray, targets: np.ndarray, seeds: np.ndarray) -> 
     return reached[:n]
 
 
-def _drop_edges_into(
-    offsets: np.ndarray, targets: np.ndarray, blocked: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR without the edges whose head is a ``blocked`` node."""
-    keep = ~blocked[targets]
-    kept_before = np.concatenate([[0], np.cumsum(keep)])
-    return kept_before[offsets], targets[keep]
-
-
 def bowtie_decompose(g: DirectedGraph) -> BowTiePartition:
     """Full six-class partition around the largest SCC.
 
@@ -164,8 +155,12 @@ def bowtie_decompose(g: DirectedGraph) -> BowTiePartition:
     out_nodes = np.flatnonzero(out_)
     if in_nodes.size and out_nodes.size:
         # paths that never enter the core
-        from_in = _reach_mask(*_drop_edges_into(g.fwd_offsets, g.fwd_targets, scc), in_nodes)
-        to_out = _reach_mask(*_drop_edges_into(g.rev_offsets, g.rev_sources, scc), out_nodes)
+        from_in = _reach_mask(
+            *_filter_csr(g.fwd_offsets, g.fwd_targets, ~scc[g.fwd_targets]), in_nodes
+        )
+        to_out = _reach_mask(
+            *_filter_csr(g.rev_offsets, g.rev_sources, ~scc[g.rev_sources]), out_nodes
+        )
         tube = from_in & to_out & ~main
 
     _, weak_labels = _cc(_adjacency(g.fwd_offsets, g.fwd_targets), connection="weak")

@@ -489,21 +489,9 @@ class BiasReport:
         return {"entries": [e.to_dict() for e in self.entries]}
 
 
-_BIAS_STATS = (
-    "scc_pct",
-    "in_pct",
-    "out_pct",
-    "gamma_in",
-    "kappa_in",
-    "kappa_out",
-    "reciprocity_fraction",
-    "mean_q_r",
-)
-
-
 def graph_statistics(g: DirectedGraph) -> dict:
-    """The summary statistics the bias report compares, each as
-    (value or None, note or None)."""
+    """The summary statistics the bias report compares, in its order, each
+    as (value or None, note or None)."""
     out: dict = {}
     part = bowtie_decompose(g)
     out["scc_pct"] = (part.percentages[BowTieClass.SCC], None)
@@ -543,8 +531,7 @@ def bias_report(true_graph: DirectedGraph, outcome: CrawlOutcome) -> BiasReport:
     true_stats = graph_statistics(true_graph)
     obs_stats = graph_statistics(outcome.observed)
     entries = []
-    for name in _BIAS_STATS:
-        t, t_note = true_stats[name]
+    for name, (t, t_note) in true_stats.items():
         o, o_note = obs_stats[name]
         notes = []
         if t_note:

@@ -44,8 +44,8 @@ _MAX_CANDIDATES = 120
 class Direction(enum.Enum):
     IN = "in"
     OUT = "out"
-    RECIPROCAL = "reciprocal"
     UNDIRECTED = "undirected"
+    RECIPROCAL = "reciprocal"
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import zlib
 from array import array
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Union
 
@@ -71,19 +72,6 @@ class DirectedGraph:
     raises ValueError.
     """
 
-    __slots__ = (
-        "node_count",
-        "edge_count",
-        "fwd_offsets",
-        "fwd_targets",
-        "original_ids",
-        "_out_degrees",
-        "_in_degrees",
-        "_fwd_rows",
-        "_rev",
-        "_mutual",
-    )
-
     def __init__(
         self,
         node_count: int,
@@ -94,17 +82,9 @@ class DirectedGraph:
         _check_csr(int(node_count), fwd_offsets, fwd_targets, original_ids)
         self.node_count = int(node_count)
         self.edge_count = int(len(fwd_targets))
-        self.fwd_offsets = fwd_offsets
-        self.fwd_targets = fwd_targets
-        self.original_ids = original_ids
-        for arr in (fwd_offsets, fwd_targets, original_ids):
-            if arr is not None:
-                arr.setflags(write=False)
-        self._out_degrees = None
-        self._in_degrees = None
-        self._fwd_rows = None
-        self._rev = None
-        self._mutual = None
+        self.fwd_offsets = _frozen(fwd_offsets)
+        self.fwd_targets = _frozen(fwd_targets)
+        self.original_ids = original_ids if original_ids is None else _frozen(original_ids)
 
     # -- construction -------------------------------------------------
 
@@ -140,64 +120,45 @@ class DirectedGraph:
     def in_neighbors(self, node: int) -> np.ndarray:
         return self.rev_sources[self.rev_offsets[node] : self.rev_offsets[node + 1]]
 
-    @property
+    @cached_property
     def out_degrees(self) -> np.ndarray:
-        if self._out_degrees is None:
-            d = np.diff(self.fwd_offsets)
-            d.setflags(write=False)
-            self._out_degrees = d
-        return self._out_degrees
+        return _frozen(np.diff(self.fwd_offsets))
 
-    @property
+    @cached_property
     def in_degrees(self) -> np.ndarray:
-        if self._in_degrees is None:
-            d = np.bincount(self.fwd_targets, minlength=self.node_count)
-            d.setflags(write=False)
-            self._in_degrees = d
-        return self._in_degrees
+        return _frozen(np.bincount(self.fwd_targets, minlength=self.node_count))
 
     @property
     def rev_offsets(self) -> np.ndarray:
-        return self._reverse()[0]
+        return self._reverse[0]
 
     @property
     def rev_sources(self) -> np.ndarray:
         """In-neighbors of every node, ascending within each row."""
-        return self._reverse()[1]
+        return self._reverse[1]
 
+    @cached_property
     def _reverse(self) -> tuple[np.ndarray, np.ndarray]:
         """The forward CSR transposed on first use: the one place a reverse CSR is made."""
-        if self._rev is None:
-            self._rev = _csr_from_edges(self.node_count, self.fwd_targets, self.fwd_rows)
-            for arr in self._rev:
-                arr.setflags(write=False)
-        return self._rev
+        off, src = _csr_from_edges(self.node_count, self.fwd_targets, self.fwd_rows)
+        return _frozen(off), _frozen(src)
 
-    @property
+    @cached_property
     def fwd_rows(self) -> np.ndarray:
         """Source node of every forward CSR entry (length = edge_count)."""
-        if self._fwd_rows is None:
-            r = np.repeat(
-                np.arange(self.node_count, dtype=np.int64), self.out_degrees
-            )
-            r.setflags(write=False)
-            self._fwd_rows = r
-        return self._fwd_rows
+        return _frozen(np.repeat(np.arange(self.node_count, dtype=np.int64), self.out_degrees))
 
-    @property
+    @cached_property
     def mutual(self) -> np.ndarray:
         """Whether each forward CSR edge u->v has its reverse v->u: tested on
         first use and kept, the one place the mutual test is made."""
-        if self._mutual is None:
-            n = self.node_count
-            keys = self.fwd_rows * n + self.fwd_targets  # ascending
-            # v->u is the entry (row u, source v) of the reverse CSR
-            rev_keys = np.repeat(np.arange(n, dtype=np.int64) * n, self.in_degrees)
-            rev_keys += self.rev_sources
-            m = rev_keys[np.minimum(np.searchsorted(rev_keys, keys), len(rev_keys) - 1)] == keys
-            m.setflags(write=False)
-            self._mutual = m
-        return self._mutual
+        n = self.node_count
+        keys = self.fwd_rows * n + self.fwd_targets  # ascending
+        # v->u is the entry (row u, source v) of the reverse CSR
+        rev_keys = np.repeat(np.arange(n, dtype=np.int64) * n, self.in_degrees)
+        rev_keys += self.rev_sources
+        found = rev_keys[np.minimum(np.searchsorted(rev_keys, keys), len(rev_keys) - 1)]
+        return _frozen(found == keys)
 
     def has_edge(self, u: int, v: int) -> bool:
         row = self.out_neighbors(u)
@@ -227,8 +188,6 @@ class UndirectedGraph:
     symmetry is not checked.
     """
 
-    __slots__ = ("node_count", "offsets", "targets", "original_ids", "_rows", "_triangles")
-
     def __init__(
         self,
         node_count: int,
@@ -238,56 +197,45 @@ class UndirectedGraph:
     ):
         _check_csr(int(node_count), offsets, targets, original_ids)
         self.node_count = int(node_count)
-        self.offsets = offsets
-        self.targets = targets
+        self.offsets = _frozen(offsets)
+        self.targets = _frozen(targets)
         self.original_ids = original_ids
-        offsets.setflags(write=False)
-        targets.setflags(write=False)
-        self._rows = None
-        self._triangles = None
 
     @property
     def edge_count(self) -> int:
         return len(self.targets) // 2
 
-    @property
+    @cached_property
     def degrees(self) -> np.ndarray:
-        return np.diff(self.offsets)
+        return _frozen(np.diff(self.offsets))
 
-    @property
+    @cached_property
     def rows(self) -> np.ndarray:
-        if self._rows is None:
-            r = np.repeat(np.arange(self.node_count, dtype=np.int64), self.degrees)
-            r.setflags(write=False)
-            self._rows = r
-        return self._rows
+        return _frozen(np.repeat(np.arange(self.node_count, dtype=np.int64), self.degrees))
 
-    @property
+    @cached_property
     def triangles(self) -> np.ndarray:
         """Triangles through each node, counted on first use and kept: each
         edge is kept from its lower (degree, id) end, so the wedges inside
         the oriented rows number O(m^1.5) whatever the hubs (Chiba &
         Nishizeki 1985), and each triangle closes once, at its lowest end."""
-        if self._triangles is None:
-            n = self.node_count
-            rank = np.empty(n, dtype=np.int64)
-            rank[np.argsort(self.degrees, kind="stable")] = np.arange(n)
-            up = rank[self.rows] < rank[self.targets]
-            # a subsequence of the sorted CSR: rows ascend, and heads within a row
-            src, dst = self.rows[up], self.targets[up].astype(np.int64)
-            keys = src * n + dst
-            idx = np.arange(len(src))
-            later = np.cumsum(np.bincount(src, minlength=n))[src] - idx - 1
-            # wedge (dst[a], dst[b]) for every b after a in a's row
-            a = np.repeat(idx, later)
-            b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(later) - later, later)
-            x, y = dst[a], dst[b]
-            wedge = np.where(rank[x] < rank[y], x * n + y, y * n + x)
-            closed = keys[np.minimum(np.searchsorted(keys, wedge), len(keys) - 1)] == wedge
-            t = np.bincount(np.concatenate([src[a[closed]], x[closed], y[closed]]), minlength=n)
-            t.setflags(write=False)
-            self._triangles = t
-        return self._triangles
+        n = self.node_count
+        rank = np.empty(n, dtype=np.int64)
+        rank[np.argsort(self.degrees, kind="stable")] = np.arange(n)
+        up = rank[self.rows] < rank[self.targets]
+        # a subsequence of the sorted CSR: rows ascend, and heads within a row
+        src, dst = self.rows[up], self.targets[up].astype(np.int64)
+        keys = src * n + dst
+        idx = np.arange(len(src))
+        later = np.cumsum(np.bincount(src, minlength=n))[src] - idx - 1
+        # wedge (dst[a], dst[b]) for every b after a in a's row
+        a = np.repeat(idx, later)
+        b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(later) - later, later)
+        x, y = dst[a], dst[b]
+        wedge = np.where(rank[x] < rank[y], x * n + y, y * n + x)
+        closed = keys[np.minimum(np.searchsorted(keys, wedge), len(keys) - 1)] == wedge
+        t = np.bincount(np.concatenate([src[a[closed]], x[closed], y[closed]]), minlength=n)
+        return _frozen(t)
 
     def neighbors(self, node: int) -> np.ndarray:
         return self.targets[self.offsets[node] : self.offsets[node + 1]]
@@ -331,6 +279,22 @@ def _check_csr(n: int, offsets: np.ndarray, targets: np.ndarray, ids: np.ndarray
         raise ValueError("graph row not strictly ascending: unsorted or duplicate edge")
     if np.any(np.repeat(np.arange(n, dtype=targets.dtype), sizes) == targets):
         raise ValueError("self-loop in graph")
+
+
+def _filter_csr(
+    offsets: np.ndarray, targets: np.ndarray, keep: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR of the entries where ``keep`` is set: the one place a sub-CSR
+    is cut. A subsequence of a sorted CSR, so its rows stay ascending."""
+    kept_before = np.zeros(len(targets) + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept_before[1:])
+    return kept_before[offsets], targets[keep]
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: every array a graph holds or derives is."""
+    a.setflags(write=False)
+    return a
 
 
 def _csr_from_edges(n: int, src: np.ndarray, dst: np.ndarray):
@@ -684,8 +648,9 @@ def induced_subgraph(
 
 def _restrict(g: DirectedGraph, nodes: np.ndarray, keep_edges: np.ndarray) -> DirectedGraph:
     """The graph on the sorted ids ``nodes``, compacted, of the edges of ``g``
-    where ``keep_edges`` is set (both ends in ``nodes``); input ids carry over."""
-    su = np.searchsorted(nodes, g.fwd_rows[keep_edges])
-    sv = np.searchsorted(nodes, g.fwd_targets[keep_edges])
+    where ``keep_edges`` is set (both ends in ``nodes``); input ids carry over.
+    Relabelling by rank keeps every row ascending, so nothing is sorted."""
+    off, tgt = _filter_csr(g.fwd_offsets, g.fwd_targets, keep_edges)
+    offsets = np.append(off[nodes], off[-1])  # the rows outside ``nodes`` are empty
     orig = g.original_ids[nodes] if g.original_ids is not None else nodes.copy()
-    return DirectedGraph.from_edges(len(nodes), su, sv, orig)
+    return DirectedGraph(len(nodes), offsets, np.searchsorted(nodes, tgt).astype(np.int32), orig)

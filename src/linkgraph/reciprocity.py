@@ -24,7 +24,7 @@ from .correlations import (
 )
 from .degree_stats import DegreeHistogram, DegreeSummary, Direction, summarize
 from .errors import UndefinedStatisticError
-from .graph import DirectedGraph, UndirectedGraph, exact_product_sum
+from .graph import DirectedGraph, UndirectedGraph, _filter_csr, exact_product_sum
 
 
 @dataclass(frozen=True)
@@ -62,14 +62,12 @@ class ReciprocalDecomposition:
 
 
 def decompose(g: DirectedGraph) -> ReciprocalDecomposition:
-    """Count each node's mutual and one-way edges from ``g.mutual``. The
-    mutual edges in forward CSR order are the subgraph's sorted,
-    symmetric CSR, so it is made without a sort."""
+    """Split each node's degrees by ``g.mutual``. The mutual edges, cut from
+    the forward CSR, are the subgraph's sorted, symmetric CSR, so it is made
+    without a sort, and its degrees are q_r."""
     n = g.node_count
-    q_r = np.bincount(g.fwd_rows[g.mutual], minlength=n)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(q_r, out=offsets[1:])
-    sub = UndirectedGraph(n, offsets, g.fwd_targets[g.mutual], g.original_ids)
+    sub = UndirectedGraph(n, *_filter_csr(g.fwd_offsets, g.fwd_targets, g.mutual), g.original_ids)
+    q_r = sub.degrees
     return ReciprocalDecomposition(n, g.in_degrees - q_r, g.out_degrees - q_r, q_r, sub)
 
 

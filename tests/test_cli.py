@@ -331,6 +331,17 @@ class TestCorrAndRecip:
         assert (out_dir / "recip_scatter.csv").exists()
         assert (out_dir / "recip_subgraph_edges.txt").read_text() == "0 1\n"
 
+    def test_out_of_memory_is_computation_error(self, toy_cache, capsys, monkeypatch):
+        def too_big(g):  # numpy's own error for an allocation that cannot be made
+            return np.empty(1 << 60, dtype=np.uint8)
+
+        monkeypatch.setattr(cli, "decompose", too_big)
+        code, _, err = run(["recip", "--cache", str(toy_cache)], capsys)
+        assert code == 4
+        assert err.startswith("computation error: out of memory: Unable to allocate")
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+
     def test_recip_per_node_files_share_input_ids(self, tmp_path, capsys):
         src = tmp_path / "sparse.txt"
         # a mutual triangle on 100, 200, 300, and a one-way link 300 -> 400
@@ -440,6 +451,23 @@ class TestSimulate:
         )
         assert code == 4
         assert "computation error" in err
+
+    @pytest.mark.parametrize(
+        "exc, message",
+        [
+            (MemoryError("Unable to allocate 16.0 GiB for an array"), "Unable to allocate 16.0 GiB"),
+            (MemoryError(), "allocation failed"),
+        ],
+    )
+    def test_out_of_memory_is_computation_error(self, exc, message, capsys, monkeypatch):
+        def no_room(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_ensemble", no_room)
+        code, _, err = run(["simulate", "--n", "200"], capsys)
+        assert code == 4
+        assert err.startswith(f"computation error: out of memory: {message}")
+        assert len(err.splitlines()) == 1
 
 
 class TestEnvAndFormat:

@@ -22,7 +22,7 @@ from linkgraph import (
     undirected_view,
 )
 from linkgraph import graph as graph_module
-from linkgraph.graph import sorted_unique
+from linkgraph.graph import _filter_csr, sorted_unique
 
 from conftest import CACHE_HEADER, TOY8_EDGES, cache_targets_at, graph_of, reseal, v1_cache
 from oracles import random_digraph
@@ -410,6 +410,72 @@ def test_undirected_constructor_rejects_reversed_rows():
     rev = np.concatenate([ug.neighbors(v)[::-1] for v in range(40)])
     with pytest.raises(ValueError, match="not strictly ascending"):
         UndirectedGraph(40, ug.offsets.copy(), rev)
+
+
+def _filter_bruteforce(offsets, targets, keep):
+    rows = [
+        [t for t, k in zip(targets[a:b], keep[a:b]) if k]
+        for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())
+    ]
+    return [0, *np.cumsum([len(r) for r in rows]).tolist()], [t for r in rows for t in r]
+
+
+class TestFilterCsr:
+    @pytest.mark.parametrize(
+        "offsets, targets, keep",
+        [
+            ([0], [], []),  # n = 0
+            ([0, 0, 0, 0], [], []),  # m = 0
+            ([0, 0, 2, 3, 3], [2, 3, 1], [True, False, True]),  # empty first and last rows
+            ([0, 2, 2, 3], [1, 2, 0], [True, True, True]),  # all kept
+            ([0, 2, 2, 3], [1, 2, 0], [False, False, False]),  # none kept
+        ],
+        ids=["n=0", "m=0", "empty-ends", "all-kept", "none-kept"],
+    )
+    def test_pinned_cases(self, offsets, targets, keep):
+        offsets, targets = np.array(offsets, dtype=np.int64), np.array(targets, dtype=np.int32)
+        keep = np.array(keep, dtype=bool)
+        off, tgt = _filter_csr(offsets, targets, keep)
+        want_off, want_tgt = _filter_bruteforce(offsets, targets, keep)
+        assert off.tolist() == want_off and off.dtype == np.int64
+        assert tgt.tolist() == want_tgt and tgt.dtype == np.int32
+
+    def test_random_masks_match_bruteforce(self):
+        rng = np.random.default_rng(13)
+        for _ in range(40):
+            n = int(rng.integers(1, 30))
+            g = graph_of(n, random_digraph(rng, n, float(rng.uniform(0.0, 0.4))))
+            keep = rng.random(g.edge_count) < rng.uniform(0.0, 1.0)
+            off, tgt = _filter_csr(g.fwd_offsets, g.fwd_targets, keep)
+            want_off, want_tgt = _filter_bruteforce(g.fwd_offsets, g.fwd_targets.tolist(), keep)
+            assert off.tolist() == want_off
+            assert tgt.tolist() == want_tgt
+            DirectedGraph(n, off, tgt)  # still a sorted, checked CSR
+
+
+@pytest.mark.parametrize(
+    "cls, name",
+    [
+        (DirectedGraph, "out_degrees"),
+        (DirectedGraph, "in_degrees"),
+        (DirectedGraph, "fwd_rows"),
+        (DirectedGraph, "rev_offsets"),
+        (DirectedGraph, "rev_sources"),
+        (DirectedGraph, "mutual"),
+        (UndirectedGraph, "degrees"),
+        (UndirectedGraph, "rows"),
+        (UndirectedGraph, "triangles"),
+    ],
+)
+def test_derived_arrays_are_kept_and_read_only(cls, name):
+    g = graph_of(5, [(0, 1), (1, 0), (1, 2), (2, 0), (3, 4), (4, 2)])
+    if cls is UndirectedGraph:
+        g = undirected_view(g)
+    first = getattr(g, name)
+    assert getattr(g, name) is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        first[0] = first[0]
 
 
 class TestCache:

@@ -138,8 +138,7 @@ class TestMutualMask:
 
     def test_computed_once_and_read_only(self):
         g, _ = generate(GeneratorConfig(500, PoissonDegreeLaw(4.0), PoissonDegreeLaw(4.0), 0.3, 3))
-        left = g._mutual  # the realized reciprocity of the report read it
-        assert left is not None
+        left = vars(g)["mutual"]  # the realized reciprocity of the report read it
         decompose(g)
         degree_histogram(g, Direction.RECIPROCAL)
         assert g.mutual is left
