@@ -3,11 +3,13 @@
 Subcommands: ingest, bowtie, degrees, corr, recip, simulate, report.
 Every flag can also be supplied through an environment variable named
 ``LINKGRAPH_<FLAG>`` (dashes become underscores, upper-cased);
-explicit flags win. All randomness flows from ``--seed`` with a fixed
-default of 1, never from the clock, and no statistic is computed in
-this layer; commands only orchestrate library calls and serialize
-results. Exit codes: 0 success, 2 usage, 3 unreadable or malformed
-input, 4 numeric or generation failure.
+explicit flags win. Each flag is declared only on the commands that
+read it. All randomness is ``simulate``'s and flows from its ``--seed``
+with a fixed default of 1, never from the clock, and no statistic is
+computed in this layer; commands only orchestrate library calls and
+serialize results. Exit codes: 0 success, 2 usage, 3 unreadable or
+malformed input, 4 numeric or generation failure; each failure is one
+line on stderr.
 """
 from __future__ import annotations
 
@@ -53,8 +55,9 @@ from .errors import (
     PowerLawFitError,
     ProvenanceError,
     UndefinedStatisticError,
+    value_or_note,
 )
-from .graph import _MAX_NODES, build_from_edge_list, load_cache, save_cache
+from .graph import _MAX_NODES, build_from_edge_list, load_cache, save_cache, undirected_view
 from .reciprocity import (
     ReciprocalKnnVariant,
     avg_clustering_by_degree,
@@ -81,6 +84,14 @@ class _UsageError(Exception):
 
 class _InputError(Exception):
     pass
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argparse error is a one-line usage error, not a usage block and
+    a SystemExit; subparsers are made of this class too."""
+
+    def error(self, message: str):
+        raise _UsageError(message)
 
 
 def _env_key(long_opt: str) -> str:
@@ -114,26 +125,25 @@ def _add(parser: argparse.ArgumentParser, *names, **kw) -> None:
     parser.add_argument(*names, **kw)
 
 
-def _common_flags(p: argparse.ArgumentParser, source: bool = True) -> None:
+def _common_flags(p: argparse.ArgumentParser, source: bool = True, tables: bool = True) -> None:
     if source:
         _add(p, "--input", type=str, default=None, help="edge-list file (may be gzip)")
         _add(p, "--cache", type=str, default=None, help="binary graph cache file")
     _add(p, "--out", type=str, default=None, help="directory for output files")
-    _add(
-        p,
-        "--format",
-        type=str,
-        choices=("csv", "json"),
-        default="csv",
-        help="tabular output format (default csv)",
-    )
-    _add(p, "--workers", type=int, default=1, help="must be >= 1; unused, commands run serially")
-    _add(p, "--seed", type=int, default=DEFAULT_SEED, help="master RNG seed (default 1)")
+    if tables:
+        _add(
+            p,
+            "--format",
+            type=str,
+            choices=("csv", "json"),
+            default="csv",
+            help="tabular output format (default csv)",
+        )
     _add(p, "--verbose", action="store_true", default=False, help="progress on stderr")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="linkgraph",
         description="Structural analysis of directed link graphs.",
     )
@@ -176,6 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate, crawl, and report bias")
     _common_flags(p, source=False)
+    _add(p, "--workers", type=int, default=1, help="must be >= 1; unused, replicas run serially")
+    _add(p, "--seed", type=int, default=DEFAULT_SEED, help="master RNG seed (default 1)")
     _add(p, "--n", type=int, default=10000, help="node count")
     _add(p, "--gamma-in", type=float, default=None, help="power-law in-degree exponent")
     _add(p, "--kmin-in", type=int, default=1)
@@ -209,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="merge JSON outputs into one document")
     _add(p, "--dir", type=str, required=True, help="directory of prior outputs")
-    _common_flags(p, source=False)
+    _common_flags(p, source=False, tables=False)
     p.set_defaults(fn=cmd_report)
 
     return ap
@@ -307,13 +319,15 @@ def cmd_bowtie(args) -> int:
     return 0
 
 
-def _fit_or_error(hist, kmin):
-    try:
-        if kmin is not None:
-            return mle_powerlaw(hist, k_min=kmin), None
-        return select_fit_range(hist), None
-    except PowerLawFitError as exc:
-        return None, str(exc)
+def _degree_block(hist, curve, summary, kmin) -> tuple[dict, str]:
+    """The summary entry and the histogram table of one degree sequence; a
+    tail that cannot be fitted is a ``fit_error`` note. The caller makes
+    ``curve`` and ``summary``, so each command keeps its own call order."""
+    if kmin is None:
+        fit, note = value_or_note(select_fit_range, hist)
+    else:
+        fit, note = value_or_note(mle_powerlaw, hist, k_min=kmin)
+    return export.summary_dict(summary, fit, note), export.histogram_csv(hist, curve)
 
 
 def cmd_degrees(args) -> int:
@@ -324,44 +338,37 @@ def cmd_degrees(args) -> int:
     for direction in wanted:
         name = direction.value
         hist = degree_histogram(graph, direction)
-        curve = cumulative(hist)
-        summary = summarize(hist)
-        fit, fit_error = _fit_or_error(hist, args.kmin)
-        doc[name] = export.summary_dict(summary, fit, fit_error)
-        files[f"degrees_{name}.csv"] = export.histogram_csv(hist, curve)
+        doc[name], files[f"degrees_{name}.csv"] = _degree_block(
+            hist, cumulative(hist), summarize(hist), args.kmin
+        )
     _emit(args, doc, files)
     return 0
 
 
 def cmd_corr(args) -> int:
     graph = _load_graph(args)
-    doc = {}
+    ratio, note = value_or_note(crossed_one_point, graph)
+    doc = {"crossed_one_point": {"value": ratio, "note": note}}
     files = {}
-    try:
-        ratio = crossed_one_point(graph)
-        doc["crossed_one_point"] = {"value": ratio, "note": None}
-    except UndefinedStatisticError as exc:
-        doc["crossed_one_point"] = {"value": None, "note": str(exc)}
-    try:
-        files["corr_out_given_in.csv"] = export.profile_csv(avg_out_given_in(graph))
-    except UndefinedStatisticError as exc:
-        doc["out_given_in"] = {"note": str(exc)}
-    try:
-        from .graph import undirected_view
-
-        files["corr_knn_undirected.csv"] = export.profile_csv(
-            knn_undirected(undirected_view(graph))
-        )
-    except UndefinedStatisticError as exc:
-        doc["knn_undirected"] = {"note": str(exc)}
+    profile, note = value_or_note(avg_out_given_in, graph)
+    if note is None:
+        files["corr_out_given_in.csv"] = export.profile_csv(profile)
+    else:
+        doc["out_given_in"] = {"note": note}
+    profile, note = value_or_note(knn_undirected, undirected_view(graph))
+    if note is None:
+        files["corr_knn_undirected.csv"] = export.profile_csv(profile)
+    else:
+        doc["knn_undirected"] = {"note": note}
+    norms = doc["normalizations"] = {}
     for variant in KnnVariant:
-        try:
-            profile = directed_knn(graph, variant)
+        profile, note = value_or_note(directed_knn, graph, variant)
+        if note is None:
             files[f"corr_knn_{variant.value}.csv"] = export.profile_csv(profile)
-            doc.setdefault("normalizations", {})[variant.value] = profile.normalization
-        except UndefinedStatisticError as exc:
-            doc.setdefault("normalizations", {})[variant.value] = None
-            doc.setdefault("profile_notes", {})[variant.value] = str(exc)
+            norms[variant.value] = profile.normalization
+        else:
+            norms[variant.value] = None
+            doc.setdefault("profile_notes", {})[variant.value] = note
     _emit(args, doc, files)
     return 0
 
@@ -370,26 +377,24 @@ def cmd_recip(args) -> int:
     graph = _load_graph(args)
     d = decompose(graph)
     hist, summary = r_degree_stats(d)
-    fit, fit_error = _fit_or_error(hist, args.kmin)
-    doc = {
-        "q_r": export.summary_dict(summary, fit, fit_error),
-        "ratios": export.ratios_dict(crossed_one_point_nr(d)),
-    }
-    try:
-        doc["reciprocity_fraction"] = d.reciprocity_fraction()
-    except UndefinedStatisticError as exc:
-        doc["reciprocity_fraction"] = None
-        doc["reciprocity_note"] = str(exc)
-    files = {"recip_qr_histogram.csv": export.histogram_csv(hist, cumulative(hist))}
+    doc, files = {}, {}
+    doc["q_r"], files["recip_qr_histogram.csv"] = _degree_block(
+        hist, cumulative(hist), summary, args.kmin
+    )
+    doc["ratios"] = export.ratios_dict(crossed_one_point_nr(d))
+    doc["reciprocity_fraction"], note = value_or_note(d.reciprocity_fraction)
+    if note is not None:
+        doc["reciprocity_note"] = note
     for key, profile in conditional_means_nr(d).items():
         files[f"recip_{key}.csv"] = export.profile_csv(profile)
     sub = reciprocal_subgraph(d)
     for variant in ReciprocalKnnVariant:
         files[f"recip_knn_{variant.value}.csv"] = export.profile_csv(reciprocal_knn(d, variant))
-    try:
-        files["recip_subgraph_knn.csv"] = export.profile_csv(knn_undirected(sub))
-    except UndefinedStatisticError as exc:
-        doc["subgraph_knn_note"] = str(exc)
+    profile, note = value_or_note(knn_undirected, sub)
+    if note is None:
+        files["recip_subgraph_knn.csv"] = export.profile_csv(profile)
+    else:
+        doc["subgraph_knn_note"] = note
     files["recip_clustering.csv"] = export.profile_csv(avg_clustering_by_degree(sub))
     if args.per_node:
         files["recip_decomposition.csv"] = export.decomposition_csv(d, graph)
@@ -421,23 +426,22 @@ def _poisson_law(side: str, lam: float, n: int):
 
 
 def _resolve_laws(args):
-    if args.gamma_in is not None and args.lambda_in is not None:
-        raise _UsageError("give either --gamma-in or --lambda-in, not both")
-    if args.gamma_out is not None and args.lambda_out is not None:
-        raise _UsageError("give either --gamma-out or --lambda-out, not both")
-    if args.gamma_in is not None:
-        in_law = _zeta_law("in", args.gamma_in, args.kmin_in, args.cutoff_in, args.n)
-    elif args.lambda_in is not None:
-        in_law = _poisson_law("in", args.lambda_in, args.n)
-    else:
-        in_law = ZetaDegreeLaw(2.1, 1, max(10, args.n // 10))
-    if args.gamma_out is not None:
-        out_law = _zeta_law("out", args.gamma_out, args.kmin_out, args.cutoff_out, args.n)
-    elif args.lambda_out is not None:
-        out_law = _poisson_law("out", args.lambda_out, args.n)
-    else:
-        out_law = PoissonDegreeLaw(law_mean(in_law, max_degree=args.n - 1))
-    return in_law, out_law
+    """The in and out degree laws; the default out law has the in law's mean."""
+    flag, laws = vars(args), []
+    for side in ("in", "out"):
+        gamma, lam = flag[f"gamma_{side}"], flag[f"lambda_{side}"]
+        if gamma is not None and lam is not None:
+            raise _UsageError(f"give either --gamma-{side} or --lambda-{side}, not both")
+        if gamma is not None:
+            k_min, cutoff = flag[f"kmin_{side}"], flag[f"cutoff_{side}"]
+            laws.append(_zeta_law(side, gamma, k_min, cutoff, args.n))
+        elif lam is not None:
+            laws.append(_poisson_law(side, lam, args.n))
+        elif side == "in":
+            laws.append(ZetaDegreeLaw(2.1, 1, max(10, args.n // 10)))
+        else:
+            laws.append(PoissonDegreeLaw(law_mean(laws[0], max_degree=args.n - 1)))
+    return laws
 
 
 def cmd_simulate(args) -> int:

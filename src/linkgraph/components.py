@@ -26,14 +26,7 @@ class BowTieClass(enum.Enum):
     DISCONNECTED = "DISCONNECTED"
 
 
-_CLASS_ORDER = [
-    BowTieClass.SCC,
-    BowTieClass.IN,
-    BowTieClass.OUT,
-    BowTieClass.TENDRIL,
-    BowTieClass.TUBE,
-    BowTieClass.DISCONNECTED,
-]
+_CLASS_ORDER = list(BowTieClass)
 _CLASS_CODE = {c: i for i, c in enumerate(_CLASS_ORDER)}
 
 
@@ -59,15 +52,8 @@ class BowTiePartition:
         return np.flatnonzero(self.class_of == _CLASS_CODE[cls])
 
     def to_dict(self) -> dict:
-        return {
-            "scc_pct": self.percentages[BowTieClass.SCC],
-            "in_pct": self.percentages[BowTieClass.IN],
-            "out_pct": self.percentages[BowTieClass.OUT],
-            "tendril_pct": self.percentages[BowTieClass.TENDRIL],
-            "tube_pct": self.percentages[BowTieClass.TUBE],
-            "disconnected_pct": self.percentages[BowTieClass.DISCONNECTED],
-            "main_pct": self.main_pct,
-        }
+        shares = {f"{c.value.lower()}_pct": self.percentages[c] for c in _CLASS_ORDER}
+        return {**shares, "main_pct": self.main_pct}
 
 
 def strongly_connected_components(g: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:

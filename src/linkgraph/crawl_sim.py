@@ -34,12 +34,7 @@ from .degree_stats import (
     select_fit_range,
     summarize,
 )
-from .errors import (
-    GenerationError,
-    PowerLawFitError,
-    ProvenanceError,
-    UndefinedStatisticError,
-)
+from .errors import GenerationError, ProvenanceError, value_or_note
 from .graph import DirectedGraph, _restrict, sorted_unique
 from .reciprocity import decompose
 
@@ -231,7 +226,7 @@ def _wire(
     n = len(qr)
     u, v = np.concatenate([lo, hi, du]), np.concatenate([hi, lo, dv])
     graph = DirectedGraph.from_edges(n, u, v)
-    realized = decompose(graph).reciprocity_fraction() if graph.edge_count else None
+    realized = np.count_nonzero(graph.mutual) / graph.edge_count if graph.edge_count else None
     return graph, GenerationReport(
         node_count=n,
         edge_count=graph.edge_count,
@@ -500,19 +495,14 @@ def graph_statistics(g: DirectedGraph) -> dict:
 
     hist_in = degree_histogram(g, Direction.IN)
     hist_out = degree_histogram(g, Direction.OUT)
-    try:
-        out["gamma_in"] = (select_fit_range(hist_in).gamma, None)
-    except PowerLawFitError as exc:
-        out["gamma_in"] = (None, str(exc))
+    fit, note = value_or_note(select_fit_range, hist_in)
+    out["gamma_in"] = (None if fit is None else fit.gamma, note)
     for key, hist in (("kappa_in", hist_in), ("kappa_out", hist_out)):
         summ = summarize(hist)
         out[key] = (summ.kappa, summ.note)
 
     dec = decompose(g)
-    try:
-        out["reciprocity_fraction"] = (dec.reciprocity_fraction(), None)
-    except UndefinedStatisticError as exc:
-        out["reciprocity_fraction"] = (None, str(exc))
+    out["reciprocity_fraction"] = value_or_note(dec.reciprocity_fraction)
     out["mean_q_r"] = (float(dec.q_r.mean()), None)
     return out
 

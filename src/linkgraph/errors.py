@@ -43,3 +43,14 @@ class GenerationError(LinkGraphError):
 
 class ProvenanceError(LinkGraphError):
     """Two objects that must describe the same graph do not match."""
+
+
+def value_or_note(fn, *args, **kwargs):
+    """``(fn(*args, **kwargs), None)``, or ``(None, note)`` when the call
+    raises :class:`UndefinedStatisticError` or :class:`PowerLawFitError`:
+    the one place a statistic without a value becomes a note, never a zero.
+    Any other exception propagates."""
+    try:
+        return fn(*args, **kwargs), None
+    except (UndefinedStatisticError, PowerLawFitError) as exc:
+        return None, str(exc)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 from itertools import chain
 from typing import Iterable
 
@@ -94,17 +95,7 @@ def histogram_csv(h: DegreeHistogram, curve: CumulativeCurve) -> str:
 
 
 def summary_dict(s: DegreeSummary, fit: PowerLawFit | None, fit_error: str | None):
-    out = {
-        "mean": s.mean,
-        "max_degree": s.max_degree,
-        "std": s.std,
-        "kappa": s.kappa,
-        "total_nodes": s.total_nodes,
-        "note": s.note,
-        "fit": fit.to_dict() if fit is not None else None,
-        "fit_error": fit_error,
-    }
-    return out
+    return {**asdict(s), "fit": None if fit is None else asdict(fit), "fit_error": fit_error}
 
 
 def profile_csv(p: CorrelationProfile) -> str:
@@ -138,10 +129,7 @@ def decomposition_csv(d: ReciprocalDecomposition, g: DirectedGraph) -> str:
 
 
 def ratios_dict(ratios: dict[str, RatioStat]) -> dict:
-    return {
-        name: {"value": r.value, "stderr": r.stderr, "note": r.note}
-        for name, r in ratios.items()
-    }
+    return {name: asdict(r) for name, r in ratios.items()}
 
 
 def scatter_csv(rows: np.ndarray, g: DirectedGraph | UndirectedGraph) -> str:

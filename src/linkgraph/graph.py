@@ -157,8 +157,7 @@ class DirectedGraph:
         # v->u is the entry (row u, source v) of the reverse CSR
         rev_keys = np.repeat(np.arange(n, dtype=np.int64) * n, self.in_degrees)
         rev_keys += self.rev_sources
-        found = rev_keys[np.minimum(np.searchsorted(rev_keys, keys), len(rev_keys) - 1)]
-        return _frozen(found == keys)
+        return _frozen(_in_sorted(rev_keys, keys))
 
     def has_edge(self, u: int, v: int) -> bool:
         row = self.out_neighbors(u)
@@ -199,7 +198,7 @@ class UndirectedGraph:
         self.node_count = int(node_count)
         self.offsets = _frozen(offsets)
         self.targets = _frozen(targets)
-        self.original_ids = original_ids
+        self.original_ids = original_ids if original_ids is None else _frozen(original_ids)
 
     @property
     def edge_count(self) -> int:
@@ -233,7 +232,7 @@ class UndirectedGraph:
         b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(later) - later, later)
         x, y = dst[a], dst[b]
         wedge = np.where(rank[x] < rank[y], x * n + y, y * n + x)
-        closed = keys[np.minimum(np.searchsorted(keys, wedge), len(keys) - 1)] == wedge
+        closed = _in_sorted(keys, wedge)
         t = np.bincount(np.concatenate([src[a[closed]], x[closed], y[closed]]), minlength=n)
         return _frozen(t)
 
@@ -257,6 +256,13 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
     keep[0] = True
     np.not_equal(keys[1:], keys[:-1], out=keep[1:])
     return keys[keep]
+
+
+def _in_sorted(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Whether each of ``values`` occurs in the ascending array ``keys``."""
+    if len(keys) == 0:
+        return np.zeros(len(values), dtype=bool)
+    return keys[np.minimum(np.searchsorted(keys, values), len(keys) - 1)] == values
 
 
 def _check_csr(n: int, offsets: np.ndarray, targets: np.ndarray, ids: np.ndarray | None) -> None:

@@ -23,7 +23,7 @@ from .correlations import (
     normalized_product_ratio,
 )
 from .degree_stats import DegreeHistogram, DegreeSummary, Direction, summarize
-from .errors import UndefinedStatisticError
+from .errors import UndefinedStatisticError, value_or_note
 from .graph import DirectedGraph, UndirectedGraph, _filter_csr, exact_product_sum
 
 
@@ -102,11 +102,8 @@ def crossed_one_point_nr(d: ReciprocalDecomposition) -> dict[str, RatioStat]:
         ("q_in_q_r", d.q_in, d.q_r),
         ("q_out_q_r", d.q_out, d.q_r),
     ):
-        try:
-            value, stderr = normalized_product_ratio(x, y)
-            out[name] = RatioStat(value, stderr)
-        except UndefinedStatisticError as exc:
-            out[name] = RatioStat(None, None, str(exc))
+        ratio, note = value_or_note(normalized_product_ratio, x, y)
+        out[name] = RatioStat(*(ratio or (None, None)), note)
     return out
 
 

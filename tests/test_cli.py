@@ -279,17 +279,6 @@ class TestDegrees:
         for name in doc:
             assert (out_dir / f"degrees_{name}.csv").exists()
 
-    def test_workers_do_not_change_output(self, edge_file, capsys):
-        _, out1, _ = run(["degrees", "--input", str(edge_file), "--workers", "1"], capsys)
-        _, out8, _ = run(["degrees", "--input", str(edge_file), "--workers", "8"], capsys)
-        assert out1 == out8
-
-    def test_bad_workers_rejected(self, edge_file, capsys):
-        code, _, err = run(
-            ["degrees", "--input", str(edge_file), "--workers", "0"], capsys
-        )
-        assert code == 2
-
 
 class TestCorrAndRecip:
     def test_corr_outputs(self, toy_cache, tmp_path, capsys):
@@ -396,6 +385,24 @@ class TestSimulate:
         assert (out_dir / "bias_report_0.csv").exists()
         assert (out_dir / "bias_report_1.csv").exists()
 
+    def test_workers_do_not_change_output(self, tmp_path, capsys):
+        argv = ["simulate", "--n", "300", "--lambda-in", "3", "--reciprocity", "0.2",
+                "--replicas", "2", "--budget", "150", "--export-observed"]
+        files = {}
+        for workers in ("1", "3"):
+            out_dir = tmp_path / workers
+            code, _, _ = run([*argv, "--workers", workers, "--out", str(out_dir)], capsys)
+            assert code == 0
+            files[workers] = {f.name: f.read_bytes() for f in sorted(out_dir.iterdir())}
+        assert "observed_1.txt" in files["1"]
+        assert files["1"] == files["3"]
+
+    def test_bad_workers_rejected(self, capsys):
+        code, out, err = run(["simulate", "--n", "200", "--workers", "0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "usage error: --workers must be >= 1\n"
+
     def test_deterministic_across_invocations(self, capsys):
         argv = ["simulate", "--n", "200", "--lambda-in", "3", "--seed", "4"]
         _, out1, _ = run(argv, capsys)
@@ -468,6 +475,37 @@ class TestSimulate:
         assert code == 4
         assert err.startswith(f"computation error: out of memory: {message}")
         assert len(err.splitlines()) == 1
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["degrees", "--bogus"],
+            ["degrees", "--format", "xml"],
+            ["degrees", "--direction", "sideways"],
+            [],
+            ["simulate", "--n", "x"],
+            # each flag is declared only on the commands that read it
+            ["degrees", "--workers", "1"],
+            ["bowtie", "--seed", "3"],
+            ["report", "--dir", ".", "--format", "json"],
+        ],
+    )
+    def test_argparse_errors_are_one_line(self, argv, edge_file, capsys):
+        if argv and argv[0] in ("degrees", "bowtie"):
+            argv = [*argv, "--input", str(edge_file)]
+        code, out, err = run(argv, capsys)  # returns, never raises SystemExit
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:")
+        assert len(err.splitlines()) == 1
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["degrees", "--help"])
+        assert exc.value.code == 0
+        assert "--direction" in capsys.readouterr().out
 
 
 class TestEnvAndFormat:

@@ -39,10 +39,7 @@ def cli(argv: list[str], out: Path | None = None) -> tuple[int, str, str, dict]:
         argv = [*argv, "--out", str(out)]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's own usage errors
-            code = exc.code
+        code = main(argv)  # argparse's own errors return 2 as well
     files = {}
     if out is not None and out.is_dir():
         files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
@@ -53,7 +50,7 @@ def assert_contract(code: int, err: str) -> None:
     assert code in EXIT_CODES, err
     assert "Traceback" not in err
     if code:
-        assert len(err.splitlines()) >= 1
+        assert len(err.splitlines()) == 1, err
 
 
 edge_pairs = st.lists(

@@ -22,7 +22,7 @@ from linkgraph import (
     undirected_view,
 )
 from linkgraph import graph as graph_module
-from linkgraph.graph import _filter_csr, sorted_unique
+from linkgraph.graph import _filter_csr, _in_sorted, sorted_unique
 
 from conftest import CACHE_HEADER, TOY8_EDGES, cache_targets_at, graph_of, reseal, v1_cache
 from oracles import random_digraph
@@ -462,20 +462,39 @@ class TestFilterCsr:
         (DirectedGraph, "rev_offsets"),
         (DirectedGraph, "rev_sources"),
         (DirectedGraph, "mutual"),
+        (DirectedGraph, "original_ids"),
         (UndirectedGraph, "degrees"),
         (UndirectedGraph, "rows"),
         (UndirectedGraph, "triangles"),
+        (UndirectedGraph, "original_ids"),
     ],
 )
 def test_derived_arrays_are_kept_and_read_only(cls, name):
     g = graph_of(5, [(0, 1), (1, 0), (1, 2), (2, 0), (3, 4), (4, 2)])
     if cls is UndirectedGraph:
         g = undirected_view(g)
+    if name == "original_ids":  # a caller's writable array is frozen on the way in
+        csr = (g.fwd_offsets, g.fwd_targets) if cls is DirectedGraph else (g.offsets, g.targets)
+        g = cls(g.node_count, *csr, np.arange(10, 15))
     first = getattr(g, name)
     assert getattr(g, name) is first
     assert not first.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         first[0] = first[0]
+
+
+@pytest.mark.parametrize(
+    "keys, values, found",
+    [
+        ([], [], []),
+        ([], [3, 1], [False, False]),
+        ([2, 5, 9], [], []),
+        ([2, 5, 9], [1, 2, 6, 9, 10], [False, True, False, True, False]),
+    ],
+)
+def test_in_sorted_is_membership(keys, values, found):
+    got = _in_sorted(np.array(keys, dtype=np.int64), np.array(values, dtype=np.int64))
+    assert got.dtype == bool and got.tolist() == found
 
 
 class TestCache:
