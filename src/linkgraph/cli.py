@@ -1,15 +1,17 @@
 """Command-line interface: one executable, one subcommand per analysis.
 
 Subcommands: ingest, bowtie, degrees, corr, recip, simulate, report.
-Every flag can also be supplied through an environment variable named
-``LINKGRAPH_<FLAG>`` (dashes become underscores, upper-cased);
-explicit flags win. Each flag is declared only on the commands that
-read it. All randomness is ``simulate``'s and flows from its ``--seed``
-with a fixed default of 1, never from the clock, and no statistic is
-computed in this layer; commands only orchestrate library calls and
-serialize results. Exit codes: 0 success, 2 usage, 3 unreadable or
-malformed input, 4 numeric or generation failure; each failure is one
-line on stderr.
+Each flag is declared only on the commands that read it, and argparse
+checks every flag's value. A flag can also be supplied through an
+environment variable named ``LINKGRAPH_<FLAG>`` (dashes become
+underscores, upper-cased); it is read only for the command that runs,
+as a ``--flag=value`` token before the command line's own, so explicit
+flags win and both pass the same checks. All randomness is
+``simulate``'s and flows from its ``--seed`` with a fixed default of 1,
+never from the clock, and no statistic is computed in this layer;
+commands only orchestrate library calls and serialize results. Exit
+codes: 0 success, 2 usage, 3 unreadable or malformed input, 4 numeric
+or generation failure; each failure is one line on stderr.
 """
 from __future__ import annotations
 
@@ -94,52 +96,45 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _env_key(long_opt: str) -> str:
-    return ENV_PREFIX + long_opt.lstrip("-").replace("-", "_").upper()
+def _ranged(cast, lo=None, hi=None, above=None):
+    """An argparse type: ``cast`` the text, then require ``lo <= value``
+    (or ``value > above``) and ``value <= hi`` for each bound given; NaN
+    fails every bound. The error states the whole allowed range."""
+    if hi is None:
+        rule = f"must be >= {lo}" if above is None else f"must be > {above}"
+    else:
+        rule = f"must lie in [{lo}, {hi}]" if above is None else f"must lie in ({above}, {hi}]"
+
+    def convert(text: str):
+        value = cast(text)
+        if (lo is None or value >= lo) and (hi is None or value <= hi) and (
+            above is None or value > above
+        ):
+            return value
+        raise argparse.ArgumentTypeError(rule)
+
+    convert.__name__ = cast.__name__  # argparse names it in "invalid int value"
+    return convert
 
 
-def _add(parser: argparse.ArgumentParser, *names, **kw) -> None:
-    """add_argument with environment-variable default injection."""
-    long_opt = names[-1]
-    key = _env_key(long_opt)
-    if key in os.environ:
-        raw = os.environ[key]
-        if kw.get("action") == "store_true":
-            flag = raw.strip().lower()
-            if flag not in _TRUE + _FALSE:
-                raise _UsageError(f"environment variable {key}={raw!r} is not a boolean")
-            kw["default"] = flag in _TRUE
-        else:
-            caster = kw.get("type", str)
-            try:
-                val = caster(raw)
-            except ValueError:
-                raise _UsageError(f"environment variable {key}={raw!r} is invalid")
-            choices = kw.get("choices")
-            if choices is not None and val not in choices:
-                raise _UsageError(
-                    f"environment variable {key}={raw!r} not one of {sorted(choices)}"
-                )
-            kw["default"] = val
-        kw.pop("required", None)
-    parser.add_argument(*names, **kw)
+_AT_LEAST_1 = _ranged(int, lo=1)
 
 
 def _common_flags(p: argparse.ArgumentParser, source: bool = True, tables: bool = True) -> None:
     if source:
-        _add(p, "--input", type=str, default=None, help="edge-list file (may be gzip)")
-        _add(p, "--cache", type=str, default=None, help="binary graph cache file")
-    _add(p, "--out", type=str, default=None, help="directory for output files")
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--input", type=str, help="edge-list file (may be gzip)")
+        group.add_argument("--cache", type=str, help="binary graph cache file")
+    p.add_argument("--out", type=str, help="directory for output files")
     if tables:
-        _add(
-            p,
+        p.add_argument(
             "--format",
             type=str,
             choices=("csv", "json"),
             default="csv",
             help="tabular output format (default csv)",
         )
-    _add(p, "--verbose", action="store_true", default=False, help="progress on stderr")
+    p.add_argument("--verbose", action="store_true", help="progress on stderr")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,26 +145,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="parse an edge list and write a binary cache")
-    _add(p, "--input", type=str, required=True, help="edge-list file (may be gzip)")
-    _add(p, "--cache", type=str, default=None, help="cache file to write")
+    p.add_argument("--input", type=str, required=True, help="edge-list file (may be gzip)")
+    p.add_argument("--cache", type=str, help="cache file to write")
     _common_flags(p, source=False)
     p.set_defaults(fn=cmd_ingest)
 
     p = sub.add_parser("bowtie", help="bow-tie decomposition")
     _common_flags(p)
-    _add(p, "--classes", action="store_true", default=False, help="write per-node class CSV")
+    p.add_argument("--classes", action="store_true", help="write per-node class CSV")
     p.set_defaults(fn=cmd_bowtie)
 
     p = sub.add_parser("degrees", help="degree histograms, moments, tail fits")
     _common_flags(p)
-    _add(
-        p,
+    p.add_argument(
         "--direction",
         type=str,
         choices=[d.value for d in Direction] + ["all"],
         default="all",
     )
-    _add(p, "--kmin", type=int, default=None, help="fixed lower fit cutoff (default: scan)")
+    p.add_argument("--kmin", type=_AT_LEAST_1, help="fixed lower fit cutoff (default: scan)")
     p.set_defaults(fn=cmd_degrees)
 
     p = sub.add_parser("corr", help="degree-degree correlation profiles")
@@ -178,68 +172,92 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recip", help="reciprocity decomposition and statistics")
     _common_flags(p)
-    _add(p, "--per-node", action="store_true", default=False, help="write per-node q CSV")
-    _add(p, "--scatter", action="store_true", default=False, help="write raw scatter CSV")
-    _add(p, "--export-subgraph", action="store_true", default=False)
-    _add(p, "--kmin", type=int, default=None, help="fixed lower fit cutoff for q_r")
+    p.add_argument("--per-node", action="store_true", help="write per-node q CSV")
+    p.add_argument("--scatter", action="store_true", help="write raw scatter CSV")
+    p.add_argument("--export-subgraph", action="store_true")
+    p.add_argument("--kmin", type=_AT_LEAST_1, help="fixed lower fit cutoff for q_r")
     p.set_defaults(fn=cmd_recip)
 
     p = sub.add_parser("simulate", help="generate, crawl, and report bias")
     _common_flags(p, source=False)
-    _add(p, "--workers", type=int, default=1, help="must be >= 1; unused, replicas run serially")
-    _add(p, "--seed", type=int, default=DEFAULT_SEED, help="master RNG seed (default 1)")
-    _add(p, "--n", type=int, default=10000, help="node count")
-    _add(p, "--gamma-in", type=float, default=None, help="power-law in-degree exponent")
-    _add(p, "--kmin-in", type=int, default=1)
-    _add(p, "--cutoff-in", type=int, default=None)
-    _add(p, "--lambda-in", type=float, default=None, help="Poisson in-degree mean")
-    _add(p, "--gamma-out", type=float, default=None)
-    _add(p, "--kmin-out", type=int, default=1)
-    _add(p, "--cutoff-out", type=int, default=None)
-    _add(p, "--lambda-out", type=float, default=None)
-    _add(p, "--reciprocity", type=float, default=0.0, help="target reciprocal fraction")
-    _add(p, "--replicas", type=int, default=1)
-    _add(
-        p,
+    p.add_argument("--workers", type=_AT_LEAST_1, default=1, help="unused, replicas run serially")
+    p.add_argument(
+        "--seed", type=_ranged(int, lo=0), default=DEFAULT_SEED, help="master RNG seed (default 1)"
+    )
+    # the generator stores ids as int32
+    p.add_argument("--n", type=_ranged(int, lo=1, hi=_MAX_NODES), default=10000, help="node count")
+    for side in ("in", "out"):
+        exponent = f"power-law {side}-degree exponent"
+        p.add_argument(f"--gamma-{side}", type=_ranged(float, above=1), help=exponent)
+        p.add_argument(f"--kmin-{side}", type=_AT_LEAST_1, default=1)
+        p.add_argument(f"--cutoff-{side}", type=int)
+        p.add_argument(f"--lambda-{side}", type=float, help=f"Poisson {side}-degree mean")
+    share = _ranged(float, lo=0, hi=1)
+    p.add_argument("--reciprocity", type=share, default=0.0, help="target reciprocal fraction")
+    p.add_argument("--replicas", type=_AT_LEAST_1, default=1)
+    p.add_argument(
         "--strategy",
         type=str,
         choices=tuple(s.value for s in CrawlStrategy),
         default=CrawlStrategy.BFS.value,
     )
-    _add(p, "--budget", type=int, default=None, help="pages fetched per crawl")
-    _add(p, "--budget-fraction", type=float, default=None)
-    _add(p, "--seed-count", type=int, default=1, help="crawl seeds per replica")
-    _add(
-        p,
+    p.add_argument("--budget", type=int, help="pages fetched per crawl")
+    p.add_argument("--budget-fraction", type=_ranged(float, above=0, hi=1))
+    p.add_argument("--seed-count", type=_AT_LEAST_1, default=1, help="crawl seeds per replica")
+    p.add_argument(
         "--frontier-mode",
         type=str,
         choices=tuple(m.value for m in FrontierMode),
         default=FrontierMode.FETCHED_ONLY.value,
     )
-    _add(p, "--export-observed", action="store_true", default=False)
+    p.add_argument("--export-observed", action="store_true")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("report", help="merge JSON outputs into one document")
-    _add(p, "--dir", type=str, required=True, help="directory of prior outputs")
+    p.add_argument("--dir", type=str, required=True, help="directory of prior outputs")
     _common_flags(p, source=False, tables=False)
-    p.set_defaults(fn=cmd_report)
+    p.set_defaults(fn=cmd_report, format="csv")  # no tables to fold; not a flag
 
     return ap
+
+
+def _env_argv(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """``argv`` with one ``--flag=value`` token for each ``LINKGRAPH_<FLAG>``
+    set for a flag of the command ``argv[0]`` names, placed before the
+    command line's own flags: argparse checks both alike, and an explicit
+    flag, parsed later, wins. A switch's variable is a boolean word."""
+    # argparse has no public list of a parser's subcommands or of their
+    # flags, so its _actions are read here and nowhere else
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    if not argv or argv[0] not in commands:
+        return argv
+    tokens = []
+    for action in commands[argv[0]]._actions:
+        flag = action.option_strings[-1]  # a subcommand takes flags only
+        key = ENV_PREFIX + flag.lstrip("-").replace("-", "_").upper()
+        raw = os.environ.get(key)
+        if raw is None or action.dest == "help":
+            continue
+        if action.nargs != 0:
+            tokens.append(f"{flag}={raw}")
+        elif raw.strip().lower() in _TRUE:
+            tokens.append(flag)
+        elif raw.strip().lower() not in _FALSE:
+            raise _UsageError(f"environment variable {key}={raw!r} is not a boolean")
+    return [argv[0], *tokens, *argv[1:]]
 
 
 # -- helpers ----------------------------------------------------------------
 
 
 def _load_graph(args):
-    if args.input and args.cache:
-        raise _UsageError("give either --input or --cache, not both")
-    if args.cache:
-        data = Path(args.cache).read_bytes()
-        return load_cache(data)
-    if args.input:
+    if args.cache is not None:
+        graph = load_cache(Path(args.cache).read_bytes())
+    else:
         graph, _ = build_from_edge_list(args.input)
-        return graph
-    raise _UsageError("a graph source is required (--input or --cache)")
+    if graph.node_count == 0:  # one rule for every analysis command
+        raise UndefinedStatisticError("the graph has no nodes")
+    return graph
 
 
 def _outdir(args) -> Path | None:
@@ -263,11 +281,6 @@ def _out_ok(args) -> None:
             return
 
 
-def _write(out: Path | None, name: str, text: str) -> None:
-    if out is not None:
-        (out / name).write_text(text, encoding="utf-8")
-
-
 def _emit(args, doc: dict, files: dict[str, str]) -> None:
     """Print the JSON document; write it and the tabular files under
     --out. With --format json the tables are folded into the JSON
@@ -282,18 +295,8 @@ def _emit(args, doc: dict, files: dict[str, str]) -> None:
     text = export.json_text(doc)
     sys.stdout.write(text)
     if out is not None:
-        _write(out, f"{args.command}.json", text)
-        for name, content in files.items():
-            _write(out, name, content)
-
-
-def _settings_ok(args) -> None:
-    if getattr(args, "workers", 1) < 1:
-        raise _UsageError("--workers must be >= 1")
-    if getattr(args, "seed", 0) < 0:
-        raise _UsageError("--seed must be >= 0")
-    if getattr(args, "kmin", None) is not None and args.kmin < 1:
-        raise _UsageError("--kmin must be >= 1")
+        for name, content in {f"{args.command}.json": text, **files}.items():
+            (out / name).write_text(content, encoding="utf-8")
 
 
 # -- commands ----------------------------------------------------------------
@@ -407,12 +410,8 @@ def cmd_recip(args) -> int:
 
 
 def _zeta_law(side: str, gamma: float, k_min: int, cutoff: int | None, n: int):
-    if not gamma > 1.0:
-        raise _UsageError(f"--gamma-{side} must be > 1")
-    if k_min < 1:
-        raise _UsageError(f"--kmin-{side} must be >= 1")
     if cutoff is None:
-        cutoff = max(10, n // 10)
+        cutoff = max(k_min, 10, n // 10)
     if cutoff < k_min:
         raise _UsageError(f"--cutoff-{side} must be >= --kmin-{side}")
     return ZetaDegreeLaw(gamma, k_min, cutoff)
@@ -438,27 +437,17 @@ def _resolve_laws(args):
         elif lam is not None:
             laws.append(_poisson_law(side, lam, args.n))
         elif side == "in":
-            laws.append(ZetaDegreeLaw(2.1, 1, max(10, args.n // 10)))
+            laws.append(_zeta_law(side, 2.1, 1, None, args.n))
         else:
             laws.append(PoissonDegreeLaw(law_mean(laws[0], max_degree=args.n - 1)))
     return laws
 
 
 def cmd_simulate(args) -> int:
-    if not 1 <= args.n <= _MAX_NODES:  # the generator stores ids as int32
-        raise _UsageError(f"--n must lie in [1, {_MAX_NODES}]")
     for side, cutoff in (("in", args.cutoff_in), ("out", args.cutoff_out)):
         if cutoff is not None and cutoff > args.n - 1:  # no node has more neighbors
             raise _UsageError(f"--cutoff-{side} must be <= n - 1 = {args.n - 1}")
-    if not 0 <= args.reciprocity <= 1:  # NaN included
-        raise _UsageError("--reciprocity must lie in [0, 1]")
     in_law, out_law = _resolve_laws(args)
-    if args.replicas < 1:
-        raise _UsageError("--replicas must be >= 1")
-    if args.seed_count < 1:
-        raise _UsageError("--seed-count must be >= 1")
-    if args.budget_fraction is not None and not 0 < args.budget_fraction <= 1:
-        raise _UsageError("--budget-fraction must lie in (0, 1]")
     if args.budget is not None and args.budget < min(args.seed_count, args.n):
         raise _UsageError("--budget must be >= --seed-count")
     gen_cfg = GeneratorConfig(
@@ -518,11 +507,7 @@ def cmd_report(args) -> int:
             merged[path.stem] = json.loads(path.read_text(encoding="utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise _InputError(f"{path}: not a JSON document: {exc}") from None
-    out = _outdir(args)
-    text = export.json_text(merged)
-    sys.stdout.write(text)
-    if out is not None:
-        _write(out, "report.json", text)
+    _emit(args, merged, {})
     return 0
 
 
@@ -530,9 +515,10 @@ def cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
         parser = build_parser()
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_env_argv(parser, argv))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -542,7 +528,6 @@ def main(argv=None) -> int:
         stream=sys.stderr,
     )
     try:
-        _settings_ok(args)
         _out_ok(args)
         np.seterr(all="ignore")
         return args.fn(args)

@@ -1,3 +1,4 @@
+import argparse
 import gzip
 import json
 import subprocess
@@ -190,6 +191,22 @@ class TestBowtie:
         assert code == 3
         assert err.startswith("input error:")
         assert "out of range" in err
+
+
+@pytest.mark.parametrize("source", ["--input", "--cache"])
+@pytest.mark.parametrize("command", ["bowtie", "degrees", "corr", "recip"])
+def test_graph_with_no_nodes_is_one_computation_error(tmp_path, command, source, capsys):
+    # self-loops only: ingest keeps no edge and so no node. bowtie used to
+    # print every share as 0.0, corr a note per statistic, and degrees and
+    # recip two different errors
+    loops, cache = tmp_path / "loops.txt", tmp_path / "empty.wgl"
+    loops.write_text("1 1\n2 2\n")
+    assert run(["ingest", "--input", str(loops), "--cache", str(cache)], capsys)[0] == 0
+    out_dir = tmp_path / "out"
+    path = loops if source == "--input" else cache
+    code, out, err = run([command, source, str(path), "--out", str(out_dir)], capsys)
+    assert (code, out, err) == (4, "", "computation error: the graph has no nodes\n")
+    assert not out_dir.exists()
 
 
 def _set_row0(blob: bytearray, row: list[int]) -> bytes:
@@ -401,7 +418,7 @@ class TestSimulate:
         code, out, err = run(["simulate", "--n", "200", "--workers", "0"], capsys)
         assert code == 2
         assert out == ""
-        assert err == "usage error: --workers must be >= 1\n"
+        assert err == "usage error: argument --workers: must be >= 1\n"
 
     def test_deterministic_across_invocations(self, capsys):
         argv = ["simulate", "--n", "200", "--lambda-in", "3", "--seed", "4"]
@@ -438,6 +455,8 @@ class TestSimulate:
             ["--gamma-in", "2.1", "--cutoff-in", "10000000000", "--lambda-out", "1"],
             ["--lambda-in", "1", "--gamma-out", "2.1", "--cutoff-out", "200"],
             ["--n", "2147483648", "--lambda-in", "1", "--lambda-out", "1"],
+            # checked whatever the law; with a Poisson law it was ignored
+            ["--kmin-in", "0", "--lambda-in", "2"],
         ],
     )
     def test_invalid_settings_are_usage_errors(self, flags, capsys, monkeypatch):
@@ -450,6 +469,18 @@ class TestSimulate:
         assert "Traceback" not in err
         assert err.startswith("usage error:")
         assert len(err.splitlines()) == 1
+
+    def test_default_cutoff_is_never_below_kmin(self, capsys):
+        # the default cutoff max(10, n // 10) is 10 here: this was a usage
+        # error about --cutoff-in, a flag the command line did not give
+        code, out, err = run(
+            ["simulate", "--n", "100", "--gamma-in", "2.5", "--kmin-in", "20"], capsys
+        )
+        assert code == 0, err
+        assert json.loads(out)["replicas"][0]["generation"]["node_count"] == 100
+        assert cli._zeta_law("in", 2.5, 20, None, 100).cutoff >= 20
+        assert cli._zeta_law("in", 2.5, 1, None, 1000).cutoff == 100
+        assert cli._zeta_law("in", 2.5, 1, None, 50).cutoff == 10
 
     def test_infeasible_target_is_computation_error(self, capsys):
         code, _, err = run(
@@ -508,6 +539,27 @@ class TestUsageErrors:
         assert "--direction" in capsys.readouterr().out
 
 
+# a value outside each flag's range, and argparse's message for it
+_RANGES = [
+    (["simulate"], "--workers", "0", "must be >= 1"),
+    (["simulate"], "--seed", "-1", "must be >= 0"),
+    (["simulate"], "--replicas", "0", "must be >= 1"),
+    (["simulate"], "--seed-count", "0", "must be >= 1"),
+    (["simulate"], "--kmin-in", "0", "must be >= 1"),
+    (["simulate"], "--kmin-out", "-2", "must be >= 1"),
+    (["simulate"], "--n", "0", "must lie in [1, 2147483647]"),
+    (["simulate"], "--n", "2147483648", "must lie in [1, 2147483647]"),
+    (["simulate"], "--reciprocity", "-0.1", "must lie in [0, 1]"),
+    (["simulate"], "--reciprocity", "nan", "must lie in [0, 1]"),
+    (["simulate"], "--budget-fraction", "0", "must lie in (0, 1]"),
+    (["simulate"], "--budget-fraction", "nan", "must lie in (0, 1]"),
+    (["simulate"], "--gamma-in", "1", "must be > 1"),
+    (["simulate"], "--gamma-out", "nan", "must be > 1"),
+    (["degrees", "--input", "EDGES"], "--kmin", "0", "must be >= 1"),
+    (["recip", "--input", "EDGES"], "--kmin", "-1", "must be >= 1"),
+]
+
+
 class TestEnvAndFormat:
     def test_env_var_supplies_flag(self, edge_file, monkeypatch, capsys):
         monkeypatch.setenv("LINKGRAPH_DIRECTION", "out")
@@ -545,6 +597,62 @@ class TestEnvAndFormat:
         assert err.count("\n") == 1 and "LINKGRAPH_CLASSES='maybe'" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "key, raw, argv",
+        [
+            ("LINKGRAPH_N", "abc", ["bowtie", "--input", "EDGES"]),
+            ("LINKGRAPH_REPLICAS", "x", ["report", "--dir", "DIR"]),
+            ("LINKGRAPH_FORMAT", "xml", ["report", "--dir", "DIR"]),
+        ],
+    )
+    def test_env_of_another_command_is_not_read(
+        self, edge_file, tmp_path, monkeypatch, capsys, key, raw, argv
+    ):
+        # every parser used to read every variable, so these exited 2
+        paths = {"EDGES": str(edge_file), "DIR": str(tmp_path)}
+        argv = [paths.get(a, a) for a in argv]
+        plain = run(argv, capsys)
+        monkeypatch.setenv(key, raw)
+        assert run(argv, capsys) == plain
+        assert plain[0] == 0
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    @pytest.mark.parametrize(
+        "argv, flag, raw, rule", _RANGES, ids=[f"{a[0]}{f}={r}" for a, f, r, _ in _RANGES]
+    )
+    def test_each_range_is_checked_from_flag_and_env(
+        self, edge_file, monkeypatch, capsys, argv, flag, raw, rule, via
+    ):
+        def no_run(*args):  # a value that slips through fails here, unallocated
+            raise AssertionError("simulate ran")
+
+        monkeypatch.setattr(cli, "run_ensemble", no_run)
+        argv = [str(edge_file) if a == "EDGES" else a for a in argv]
+        if via == "flag":
+            argv += [flag, raw]
+        else:
+            monkeypatch.setenv("LINKGRAPH_" + flag[2:].replace("-", "_").upper(), raw)
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (2, "", f"usage error: argument {flag}: {rule}\n")
+
+    def test_range_bounds_are_admitted(self):
+        share = cli._ranged(float, lo=0, hi=1)
+        assert (share("0"), share("1")) == (0.0, 1.0)
+        assert cli._ranged(float, above=0, hi=1)("1") == 1.0
+        assert cli._ranged(int, lo=1, hi=5)("5") == 5
+        with pytest.raises(argparse.ArgumentTypeError, match=r"^must be > 0$"):
+            cli._ranged(float, above=0)("0")
+
+    def test_env_supplies_the_graph_source(self, edge_file, toy_cache, monkeypatch, capsys):
+        monkeypatch.setenv("LINKGRAPH_INPUT", str(edge_file))
+        code, out, _ = run(["bowtie"], capsys)
+        assert code == 0
+        assert json.loads(out)["scc_pct"] == 100.0
+        # the two sources exclude each other from the environment too
+        code, out, err = run(["bowtie", "--cache", str(toy_cache)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "usage error: argument --cache: not allowed with argument --input\n"
+
     def test_json_format_folds_tables(self, toy_cache, tmp_path, capsys):
         out_dir = tmp_path / "j"
         code, out, _ = run(
@@ -575,7 +683,7 @@ class TestReport:
         doc = json.loads(out)
         assert doc["bowtie"]["scc_pct"] == 37.5
         assert "in" in doc["degrees"]
-        assert (out_dir / "report.json").exists()
+        assert (out_dir / "report.json").read_text() == out
 
     def test_missing_dir_is_input_error(self, tmp_path, capsys):
         code, _, _ = run(["report", "--dir", str(tmp_path / "void")], capsys)
