@@ -147,8 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="parse an edge list and write a binary cache")
     p.add_argument("--input", type=str, required=True, help="edge-list file (may be gzip)")
     p.add_argument("--cache", type=str, help="cache file to write")
-    _common_flags(p, source=False)
-    p.set_defaults(fn=cmd_ingest)
+    _common_flags(p, source=False, tables=False)
+    p.set_defaults(fn=cmd_ingest, format="csv")  # no tables to fold; not a flag
 
     p = sub.add_parser("bowtie", help="bow-tie decomposition")
     _common_flags(p)
@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     for side in ("in", "out"):
         exponent = f"power-law {side}-degree exponent"
         p.add_argument(f"--gamma-{side}", type=_ranged(float, above=1), help=exponent)
-        p.add_argument(f"--kmin-{side}", type=_AT_LEAST_1, default=1)
+        p.add_argument(f"--kmin-{side}", type=_AT_LEAST_1)
         p.add_argument(f"--cutoff-{side}", type=int)
         p.add_argument(f"--lambda-{side}", type=float, help=f"Poisson {side}-degree mean")
     share = _ranged(float, lo=0, hi=1)
@@ -201,8 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=tuple(s.value for s in CrawlStrategy),
         default=CrawlStrategy.BFS.value,
     )
-    p.add_argument("--budget", type=int, help="pages fetched per crawl")
-    p.add_argument("--budget-fraction", type=_ranged(float, above=0, hi=1))
+    budget = p.add_mutually_exclusive_group()
+    budget.add_argument("--budget", type=int, help="pages fetched per crawl")
+    budget.add_argument("--budget-fraction", type=_ranged(float, above=0, hi=1))
     p.add_argument("--seed-count", type=_AT_LEAST_1, default=1, help="crawl seeds per replica")
     p.add_argument(
         "--frontier-mode",
@@ -409,11 +410,20 @@ def cmd_recip(args) -> int:
     return 0
 
 
-def _zeta_law(side: str, gamma: float, k_min: int, cutoff: int | None, n: int):
+def _zeta_law(side: str, gamma: float, k_min: int | None, cutoff: int | None, n: int):
+    """A given ``k_min`` is at most n - 1 and a given ``cutoff`` lies in
+    [k_min, n - 1]: no node of a simple n-node graph has more neighbors.
+    The defaults, k_min 1 and cutoff ``max(k_min, 10, n // 10)``, are
+    taken whatever n."""
+    if k_min is None:
+        k_min = 1
+    elif k_min > n - 1:
+        raise _UsageError(f"--kmin-{side} must be <= n - 1 = {n - 1}")
     if cutoff is None:
         cutoff = max(k_min, 10, n // 10)
-    if cutoff < k_min:
-        raise _UsageError(f"--cutoff-{side} must be >= --kmin-{side}")
+    elif not k_min <= cutoff <= n - 1:
+        rule = f"[--kmin-{side}, n - 1] = [{k_min}, {n - 1}]"
+        raise _UsageError(f"--cutoff-{side} must lie in {rule}")
     return ZetaDegreeLaw(gamma, k_min, cutoff)
 
 
@@ -425,31 +435,36 @@ def _poisson_law(side: str, lam: float, n: int):
 
 
 def _resolve_laws(args):
-    """The in and out degree laws; the default out law has the in law's mean."""
+    """The in and out degree laws. A side is zeta when its --gamma-* is
+    given, or by default for the in side (gamma 2.1), and only a zeta side
+    reads --kmin-* and --cutoff-*; the default out law is Poisson with the
+    in law's mean."""
     flag, laws = vars(args), []
     for side in ("in", "out"):
         gamma, lam = flag[f"gamma_{side}"], flag[f"lambda_{side}"]
+        k_min, cutoff = flag[f"kmin_{side}"], flag[f"cutoff_{side}"]
         if gamma is not None and lam is not None:
             raise _UsageError(f"give either --gamma-{side} or --lambda-{side}, not both")
+        if gamma is None and lam is None and side == "in":
+            gamma = 2.1
         if gamma is not None:
-            k_min, cutoff = flag[f"kmin_{side}"], flag[f"cutoff_{side}"]
             laws.append(_zeta_law(side, gamma, k_min, cutoff, args.n))
+        elif k_min is not None or cutoff is not None:
+            name = "kmin" if k_min is not None else "cutoff"
+            raise _UsageError(f"--{name}-{side} sets a power law; the {side} law is Poisson")
         elif lam is not None:
             laws.append(_poisson_law(side, lam, args.n))
-        elif side == "in":
-            laws.append(_zeta_law(side, 2.1, 1, None, args.n))
         else:
             laws.append(PoissonDegreeLaw(law_mean(laws[0], max_degree=args.n - 1)))
     return laws
 
 
 def cmd_simulate(args) -> int:
-    for side, cutoff in (("in", args.cutoff_in), ("out", args.cutoff_out)):
-        if cutoff is not None and cutoff > args.n - 1:  # no node has more neighbors
-            raise _UsageError(f"--cutoff-{side} must be <= n - 1 = {args.n - 1}")
-    in_law, out_law = _resolve_laws(args)
-    if args.budget is not None and args.budget < min(args.seed_count, args.n):
+    if args.seed_count > args.n:
+        raise _UsageError(f"--seed-count must be <= --n = {args.n}")
+    if args.budget is not None and args.budget < args.seed_count:
         raise _UsageError("--budget must be >= --seed-count")
+    in_law, out_law = _resolve_laws(args)
     gen_cfg = GeneratorConfig(
         node_count=args.n,
         in_law=in_law,

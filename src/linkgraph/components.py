@@ -34,9 +34,9 @@ _CLASS_CODE = {c: i for i, c in enumerate(_CLASS_ORDER)}
 class BowTiePartition:
     """Node-level bow-tie classification plus aggregate shares.
 
-    ``class_of[v]`` is a small integer code; use :meth:`label_of` or
-    :meth:`nodes_in` for the enum view. Percentages are node shares in
-    [0, 100]; ``main_pct`` is the SCC + IN + OUT share.
+    ``class_of[v]`` is a small integer code; use :meth:`nodes_in` for
+    the enum view. Percentages are node shares in [0, 100]; ``main_pct``
+    is the SCC + IN + OUT share.
     """
 
     node_count: int
@@ -44,9 +44,6 @@ class BowTiePartition:
     sizes: dict
     percentages: dict
     main_pct: float
-
-    def label_of(self, node: int) -> BowTieClass:
-        return _CLASS_ORDER[self.class_of[node]]
 
     def nodes_in(self, cls: BowTieClass) -> np.ndarray:
         return np.flatnonzero(self.class_of == _CLASS_CODE[cls])

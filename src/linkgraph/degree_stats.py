@@ -67,12 +67,6 @@ class DegreeHistogram:
         degs, counts = np.unique(values, return_counts=True)
         return cls(direction, degs, counts.astype(np.int64), int(len(values)))
 
-    @classmethod
-    def from_mapping(cls, mapping: dict, direction: Direction) -> "DegreeHistogram":
-        degs = np.array(sorted(mapping), dtype=np.int64)
-        counts = np.array([mapping[int(d)] for d in degs], dtype=np.int64)
-        return cls(direction, degs, counts, int(counts.sum()))
-
     @property
     def probabilities(self) -> np.ndarray:
         return self.counts / self.total_nodes
@@ -80,12 +74,6 @@ class DegreeHistogram:
     @property
     def max_degree(self) -> int:
         return int(self.degrees[-1]) if len(self.degrees) else 0
-
-    def count_at(self, degree: int) -> int:
-        i = np.searchsorted(self.degrees, degree)
-        if i < len(self.degrees) and self.degrees[i] == degree:
-            return int(self.counts[i])
-        return 0
 
 
 @dataclass(frozen=True)
@@ -125,9 +113,7 @@ def degree_histogram(g: DirectedGraph, direction: Direction) -> DegreeHistogram:
         return DegreeHistogram.from_values(g.out_degrees, direction)
     if direction not in (Direction.UNDIRECTED, Direction.RECIPROCAL):
         raise ValueError(f"unknown direction {direction!r}")
-    from .reciprocity import decompose  # local import avoids a module cycle
-
-    q_r = decompose(g).q_r
+    q_r = np.bincount(g.fwd_rows[g.mutual], minlength=g.node_count)  # mutual out-edges
     if direction is Direction.UNDIRECTED:
         return DegreeHistogram.from_values(g.in_degrees + g.out_degrees - q_r, direction)
     return DegreeHistogram.from_values(q_r, direction)
@@ -171,16 +157,6 @@ def summarize(h: DegreeHistogram) -> DegreeSummary:
         )
     kappa = s2 / s1
     return DegreeSummary(mean, h.max_degree, std, kappa, n)
-
-
-def crossed_heterogeneity(g: DirectedGraph) -> float:
-    """Mixed second-moment ratio sum(k_in*k_out) / sum(k_in) across nodes."""
-    kin = np.asarray(g.in_degrees, dtype=np.int64)
-    kout = np.asarray(g.out_degrees, dtype=np.int64)
-    denom = int(kin.sum())
-    if denom == 0:
-        raise UndefinedStatisticError("crossed heterogeneity of an edgeless graph")
-    return exact_product_sum(kin, kout) / denom
 
 
 # -- truncated discrete power-law model --------------------------------

@@ -117,9 +117,6 @@ class DirectedGraph:
     def out_neighbors(self, node: int) -> np.ndarray:
         return self.fwd_targets[self.fwd_offsets[node] : self.fwd_offsets[node + 1]]
 
-    def in_neighbors(self, node: int) -> np.ndarray:
-        return self.rev_sources[self.rev_offsets[node] : self.rev_offsets[node + 1]]
-
     @cached_property
     def out_degrees(self) -> np.ndarray:
         return _frozen(np.diff(self.fwd_offsets))
@@ -158,22 +155,6 @@ class DirectedGraph:
         rev_keys = np.repeat(np.arange(n, dtype=np.int64) * n, self.in_degrees)
         rev_keys += self.rev_sources
         return _frozen(_in_sorted(rev_keys, keys))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.out_neighbors(u)
-        i = np.searchsorted(row, v)
-        return bool(i < len(row) and row[i] == v)
-
-    def same_structure(self, other: "DirectedGraph") -> bool:
-        """Same forward CSR and ids; the reverse CSR follows from them."""
-        a, b = self.original_ids, other.original_ids
-        return (
-            self.node_count == other.node_count
-            and np.array_equal(self.fwd_offsets, other.fwd_offsets)
-            and np.array_equal(self.fwd_targets, other.fwd_targets)
-            and (a is None) == (b is None)
-            and (a is None or np.array_equal(a, b))
-        )
 
     def __repr__(self) -> str:
         return f"DirectedGraph(nodes={self.node_count}, edges={self.edge_count})"
@@ -235,9 +216,6 @@ class UndirectedGraph:
         closed = _in_sorted(keys, wedge)
         t = np.bincount(np.concatenate([src[a[closed]], x[closed], y[closed]]), minlength=n)
         return _frozen(t)
-
-    def neighbors(self, node: int) -> np.ndarray:
-        return self.targets[self.offsets[node] : self.offsets[node + 1]]
 
     def __repr__(self) -> str:
         return f"UndirectedGraph(nodes={self.node_count}, edges={self.edge_count})"
@@ -560,13 +538,6 @@ def _iter_lines(source: EdgeListSource) -> Iterator[tuple[int, str]]:
     yield from enumerate(source, start=1)  # type: ignore[arg-type]
 
 
-def degrees(g: DirectedGraph, node: int) -> tuple[int, int]:
-    """(in-degree, out-degree) of one node; raises IndexError when out of range."""
-    if not 0 <= node < g.node_count:
-        raise IndexError(f"node id {node} out of range 0..{g.node_count - 1}")
-    return int(g.in_degrees[node]), int(g.out_degrees[node])
-
-
 # -- binary cache ------------------------------------------------------
 
 # Layout (all little-endian):
@@ -634,22 +605,6 @@ def undirected_view(g: DirectedGraph) -> UndirectedGraph:
     u, v = g.fwd_rows, g.fwd_targets
     off, tgt = _csr_from_edges(g.node_count, np.concatenate([u, v]), np.concatenate([v, u]))
     return UndirectedGraph(g.node_count, off, tgt, g.original_ids)
-
-
-def induced_subgraph(
-    g: DirectedGraph, nodes: np.ndarray
-) -> tuple[DirectedGraph, np.ndarray]:
-    """Subgraph on ``nodes`` with compacted ids.
-
-    Returns the subgraph and the sorted array mapping each new dense id
-    back to the id it had in ``g``.
-    """
-    nodes = sorted_unique(np.asarray(nodes, dtype=np.int64))
-    if nodes.size and (nodes[0] < 0 or nodes[-1] >= g.node_count):
-        raise IndexError("subgraph node id out of range")
-    member = np.zeros(g.node_count, dtype=bool)
-    member[nodes] = True
-    return _restrict(g, nodes, member[g.fwd_rows] & member[g.fwd_targets]), nodes
 
 
 def _restrict(g: DirectedGraph, nodes: np.ndarray, keep_edges: np.ndarray) -> DirectedGraph:

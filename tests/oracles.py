@@ -225,6 +225,19 @@ def triangles_bruteforce(n, pairs):
     return [sum(len(adj[u] & adj[v]) for v in adj[u]) // 2 for u in range(n)]
 
 
+def same_structure(a, b):
+    """Whether two directed graphs have the same forward CSR and ids; the
+    reverse CSR follows from them. Reads only the graphs' arrays."""
+    x, y = a.original_ids, b.original_ids
+    return (
+        a.node_count == b.node_count
+        and np.array_equal(a.fwd_offsets, b.fwd_offsets)
+        and np.array_equal(a.fwd_targets, b.fwd_targets)
+        and (x is None) == (y is None)
+        and (x is None or np.array_equal(x, y))
+    )
+
+
 def cumulative_bruteforce(degree_list, k):
     """Fraction of nodes with degree >= k, by direct count."""
     if not degree_list:

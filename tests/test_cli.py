@@ -457,6 +457,14 @@ class TestSimulate:
             ["--n", "2147483648", "--lambda-in", "1", "--lambda-out", "1"],
             # checked whatever the law; with a Poisson law it was ignored
             ["--kmin-in", "0", "--lambda-in", "2"],
+            # each of these was dropped and the run went on without it
+            ["--lambda-in", "2", "--kmin-in", "3"],
+            ["--lambda-in", "2", "--cutoff-in", "-5"],
+            ["--gamma-in", "2.5", "--kmin-in", "200"],
+            ["--kmin-in", "200"],
+            ["--kmin-out", "3"],
+            ["--budget", "100", "--budget-fraction", "0.9"],
+            ["--seed-count", "201"],
         ],
     )
     def test_invalid_settings_are_usage_errors(self, flags, capsys, monkeypatch):
@@ -469,6 +477,30 @@ class TestSimulate:
         assert "Traceback" not in err
         assert err.startswith("usage error:")
         assert len(err.splitlines()) == 1
+
+    def test_kmin_and_cutoff_shape_the_default_in_law(self, capsys, monkeypatch):
+        # the default in law is a power law, so it reads --kmin-in and
+        # --cutoff-in; both were dropped and the output did not change
+        plain = run(["simulate", "--n", "300"], capsys)
+        laws, real = [], cli.run_ensemble
+
+        def spy(gen_cfg, *rest):
+            laws.append(gen_cfg.in_law)
+            return real(gen_cfg, *rest)
+
+        monkeypatch.setattr(cli, "run_ensemble", spy)
+        shaped = run(["simulate", "--n", "300", "--kmin-in", "5", "--cutoff-in", "50"], capsys)
+        assert plain[0] == shaped[0] == 0
+        assert shaped[1] != plain[1]
+        assert (laws[0].gamma, laws[0].k_min, laws[0].cutoff) == (2.1, 5, 50)
+
+    def test_budget_from_env_excludes_budget_fraction(self, capsys, monkeypatch):
+        monkeypatch.setenv("LINKGRAPH_BUDGET", "100")
+        code, out, err = run(["simulate", "--n", "200", "--budget-fraction", "0.9"], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            "usage error: argument --budget-fraction: not allowed with argument --budget\n"
+        )
 
     def test_default_cutoff_is_never_below_kmin(self, capsys):
         # the default cutoff max(10, n // 10) is 10 here: this was a usage
@@ -521,10 +553,11 @@ class TestUsageErrors:
             ["degrees", "--workers", "1"],
             ["bowtie", "--seed", "3"],
             ["report", "--dir", ".", "--format", "json"],
+            ["ingest", "--format", "json"],  # ingest writes no table
         ],
     )
     def test_argparse_errors_are_one_line(self, argv, edge_file, capsys):
-        if argv and argv[0] in ("degrees", "bowtie"):
+        if argv and argv[0] in ("degrees", "bowtie", "ingest"):
             argv = [*argv, "--input", str(edge_file)]
         code, out, err = run(argv, capsys)  # returns, never raises SystemExit
         assert code == 2

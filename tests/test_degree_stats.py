@@ -10,7 +10,7 @@ from linkgraph import (
     Direction,
     PowerLawFitError,
     UndefinedStatisticError,
-    crossed_heterogeneity,
+    crossed_one_point,
     cumulative,
     degree_histogram,
     mle_powerlaw,
@@ -32,7 +32,7 @@ def hist_of(values, direction=Direction.IN):
 class TestHistogram:
     def test_includes_zero_degree(self, toy8):
         h = degree_histogram(toy8, Direction.IN)
-        assert h.count_at(0) == 2  # nodes 0 and 7
+        assert h.counts[h.degrees == 0].tolist() == [2]  # nodes 0 and 7
         assert h.total_nodes == 8
 
     def test_counts_sum_to_nodes(self, toy8):
@@ -68,9 +68,9 @@ class TestHistogram:
         h = hist_of([1, 1, 2, 5])
         assert h.probabilities.sum() == pytest.approx(1.0)
 
-    def test_from_mapping_matches_from_values(self):
+    def test_from_values_matches_hand_built(self):
         a = hist_of([3, 3, 7])
-        b = DegreeHistogram.from_mapping({3: 2, 7: 1}, Direction.IN)
+        b = DegreeHistogram(Direction.IN, np.array([3, 7]), np.array([2, 1]), 3)
         assert a.degrees.tolist() == b.degrees.tolist()
         assert a.counts.tolist() == b.counts.tolist()
 
@@ -111,7 +111,8 @@ class TestSummary:
 
     def test_kappa_exact_beyond_int64(self):
         # sum k^2 c = 3 * 2**80 + 5 needs the Python-integer fallback
-        s = summarize(DegreeHistogram.from_mapping({2**40: 3, 1: 5}, Direction.IN))
+        degs, counts = np.array([1, 2**40], dtype=np.int64), np.array([5, 3], dtype=np.int64)
+        s = summarize(DegreeHistogram(Direction.IN, degs, counts, 8))
         assert s.kappa == (3 * 2**80 + 5) / (3 * 2**40 + 5)
         assert s.mean == (3 * 2**40 + 5) / 8
 
@@ -128,21 +129,24 @@ class TestSummary:
 
 
 class TestCrossedHeterogeneity:
+    """sum(k_in k_out) / m, read through crossed_one_point, which is that
+    ratio times n / m."""
+
     def test_toy8_value(self, toy8):
-        assert crossed_heterogeneity(toy8) == pytest.approx(6 / 8)
+        assert crossed_one_point(toy8) == pytest.approx(6 / 8)  # n = m = 8
 
     def test_edgeless_raises(self, make_graph):
         with pytest.raises(UndefinedStatisticError):
-            crossed_heterogeneity(make_graph(3, []))
+            crossed_one_point(make_graph(3, []))
 
     def test_large_degrees_no_overflow(self, make_graph):
         # star graphs stress the product sum; exact integers required
         n = 5000
         edges = [(0, i) for i in range(1, n)] + [(i, 0) for i in range(1, n)]
         g = make_graph(n, edges)
-        # node 0: k_in = k_out = n-1; leaves: 1 and 1
-        want = ((n - 1) ** 2 + (n - 1)) / (2 * (n - 1))
-        assert crossed_heterogeneity(g) == pytest.approx(want)
+        # node 0: k_in = k_out = n-1; leaves: 1 and 1; m = 2(n-1)
+        want = ((n - 1) ** 2 + (n - 1)) * n / (2 * (n - 1)) ** 2
+        assert crossed_one_point(g) == pytest.approx(want)
 
     def test_exact_product_sum_beyond_int64(self):
         a = np.array([2**40, -(2**41) + 1, 3, 0], dtype=np.int64)
