@@ -413,14 +413,14 @@ def cmd_recip(args) -> int:
 def _zeta_law(side: str, gamma: float, k_min: int | None, cutoff: int | None, n: int):
     """A given ``k_min`` is at most n - 1 and a given ``cutoff`` lies in
     [k_min, n - 1]: no node of a simple n-node graph has more neighbors.
-    The defaults, k_min 1 and cutoff ``max(k_min, 10, n // 10)``, are
-    taken whatever n."""
+    The defaults are k_min 1 and cutoff ``max(k_min, min(max(10, n // 10),
+    n - 1))``, which is n - 1 for n <= 10 (and k_min 1 when n is 1)."""
     if k_min is None:
         k_min = 1
     elif k_min > n - 1:
         raise _UsageError(f"--kmin-{side} must be <= n - 1 = {n - 1}")
     if cutoff is None:
-        cutoff = max(k_min, 10, n // 10)
+        cutoff = max(k_min, min(max(10, n // 10), n - 1))
     elif not k_min <= cutoff <= n - 1:
         rule = f"[--kmin-{side}, n - 1] = [{k_min}, {n - 1}]"
         raise _UsageError(f"--cutoff-{side} must lie in {rule}")

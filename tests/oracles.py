@@ -251,3 +251,51 @@ def random_digraph(rng, n, p):
     np.fill_diagonal(mat, False)
     src, dst = np.nonzero(mat)
     return list(zip(src.tolist(), dst.tolist()))
+
+
+_CEPHES_ZETA_A = (
+    12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
+    -1.8924375803183791606e9, 7.47242496e10, -2.950130727918164224e12,
+    1.1646782814350067249e14, -4.5979787224074726105e15,
+    1.8152105401943546773e17, -7.1661652561756670113e18,
+)
+
+
+def hurwitz_zeta_cephes(x, q):
+    """cephes' zeta(x, q) for q >= 1, one scalar at a time, step for
+    step as its C loop runs. Powers come from np.power on arrays, so the
+    rounding of every term matches the library's vectorised power, and
+    the arithmetic is on numpy scalars, so 0/0 is nan as in C."""
+    if x == 1.0:
+        return float("inf")
+    if x < 1.0:
+        return float("nan")
+    with np.errstate(all="ignore"):
+        return float(_cephes_zeta_sum(np.float64(x), np.float64(q)))
+
+
+def _cephes_zeta_sum(x, q):
+    if q > 1e8:
+        return (1.0 / (x - 1.0) + 1.0 / (2.0 * q)) * np.power([q], [1.0 - x])[0]
+    powers = list(np.power(q + np.arange(10.0), np.full(10, -x)))
+    s = powers[0]
+    for b in powers[1:]:
+        s += b
+        if abs(b / s) < 2.0**-53:
+            return s
+    w = q + 9.0
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a, k = 1.0, 0.0
+    for denominator in _CEPHES_ZETA_A:
+        a *= x + k
+        b /= w
+        t = a * b / denominator
+        s += t
+        if abs(t / s) < 2.0**-53:
+            return s
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s

@@ -513,6 +513,16 @@ class TestSimulate:
         assert cli._zeta_law("in", 2.5, 20, None, 100).cutoff >= 20
         assert cli._zeta_law("in", 2.5, 1, None, 1000).cutoff == 100
         assert cli._zeta_law("in", 2.5, 1, None, 50).cutoff == 10
+        assert cli._zeta_law("in", 2.5, 1, None, 5).cutoff == 4
+
+    def test_default_cutoff_fits_a_tiny_graph(self, capsys):
+        # the default cutoff was max(10, n // 10) = 10 here, a degree no
+        # node of a 5-node graph can have, so draws were clipped
+        code, out, err = run(["simulate", "--n", "5", "--replicas", "3"], capsys)
+        assert code == 0, err
+        replicas = json.loads(out)["replicas"]
+        assert len(replicas) == 3
+        assert [r["generation"]["clipped_draws"] for r in replicas] == [0, 0, 0]
 
     def test_infeasible_target_is_computation_error(self, capsys):
         code, _, err = run(
@@ -765,8 +775,10 @@ SCIPY_USE = {
     "ingest": ((), ("scipy",)),
     "corr": ((), ("scipy",)),
     "bowtie": (("scipy.sparse.csgraph",), ("scipy.special",)),
-    "degrees": (("scipy.special",), ("scipy.sparse",)),
-    "recip": (("scipy.special",), ("scipy.sparse",)),
+    "degrees": ((), ("scipy",)),
+    "recip": ((), ("scipy",)),
+    "simulate": (("scipy.sparse.csgraph",), ("scipy.special",)),
+    "report": ((), ("scipy",)),
 }
 
 
@@ -775,7 +787,12 @@ def test_commands_load_only_the_scipy_they_compute_with(command, tmp_path):
     edges = tmp_path / "edges.txt"
     lines = [f"{i} {(7 * i + 3) % 20}\n{i} {(i + 1) % 20}\n{(i + 1) % 20} {i}\n" for i in range(20)]
     edges.write_text("".join(lines))
-    argv = [] if command == "import" else [command, "--input", str(edges)]
+    (tmp_path / "doc.json").write_text('{"edges": 60}')
+    argv = {
+        "import": [],
+        "simulate": ["simulate", "--n", "60"],
+        "report": ["report", "--dir", str(tmp_path)],
+    }.get(command, [command, "--input", str(edges)])
     script = (
         "import sys\n"
         "from linkgraph.cli import main\n"
@@ -795,3 +812,11 @@ def test_commands_load_only_the_scipy_they_compute_with(command, tmp_path):
     for name in needed:
         assert name in loaded
     assert not [m for m in loaded if m.startswith(banned)]
+
+
+def test_no_module_names_scipy_special():
+    # the Hurwitz zeta of the tail fits is computed in numpy
+    package = Path(__file__).parents[1] / "src" / "linkgraph"
+    modules = sorted(package.rglob("*.py"))
+    assert modules
+    assert [m.name for m in modules if "scipy.special" in m.read_text(encoding="utf-8")] == []

@@ -328,6 +328,95 @@ def test_gamma_equals_scipy_bisect(k_min, k_max_fit):
         assert fit.gamma == _bisect_reference_gamma(h, k_min, k_max_fit)
 
 
+class TestHurwitzZeta:
+    """The numpy port of cephes' Hurwitz zeta: near scipy's, which runs
+    the same algorithm on libm's pow, and equal to the scalar cephes
+    loop in ``oracles``, which takes its powers from numpy."""
+
+    @given(
+        st.floats(min_value=1.00009, max_value=60.0),
+        st.integers(min_value=1, max_value=2**53),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scipy(self, x, q):
+        got, want = ds._hurwitz_zeta(x, float(q)), float(hurwitz(x, float(q)))
+        # above q = 1e8 an older scipy may sum where the port takes the
+        # asymptotic series; below the normal range only absolute error counts
+        rtol = 1e-15 if q <= 1e8 else 1e-13
+        assert abs(got - want) <= rtol * abs(want) + np.finfo(float).tiny
+
+    def test_pole_and_domain(self):
+        assert ds._hurwitz_zeta(1.0, 3.0) == np.inf
+        assert np.isnan(ds._hurwitz_zeta(0.5, 2.0))
+        assert np.isnan(ds._hurwitz_zeta(np.nan, 2.0))
+        got = ds._hurwitz_zeta(np.array([1.0, 0.99, 2.0]), 1.0)
+        assert got[0] == np.inf and np.isnan(got[1])
+        assert got[2] == pytest.approx(np.pi**2 / 6, rel=1e-15)
+
+    @pytest.mark.parametrize("q", [0.5, 0.0, -3.0, np.nan])
+    def test_q_below_one_rejected(self, q):
+        with pytest.raises(ValueError, match="q >= 1"):
+            ds._hurwitz_zeta(2.0, q)
+        with pytest.raises(ValueError, match="q >= 1"):
+            ds._hurwitz_zeta(np.array([2.0, 3.0]), np.array([1.0, q]))
+
+    def test_scalar_returns_float(self):
+        assert type(ds._hurwitz_zeta(2.0, 1)) is float
+        assert ds._hurwitz_zeta(2.0, 1) == pytest.approx(np.pi**2 / 6, rel=1e-15)
+
+    def test_broadcast_shape_kept(self):
+        x = np.array([[1.5], [2.0], [3.5]])
+        q = np.array([1.0, 7.0, 1e5, 3e9])
+        got = ds._hurwitz_zeta(x, q)
+        assert got.shape == (3, 4)
+        np.testing.assert_allclose(got, hurwitz(x, q), rtol=1e-13)
+
+    def test_equals_the_cephes_loop_across_blocks(self):
+        # the arithmetic order, not only the value: every element of a
+        # call longer than one term block, with far and near q mixed and
+        # x from the pole to where the direct sum stops early
+        rng = np.random.default_rng(21)
+        n = ds._ZETA_BLOCK * 2 + 5
+        x = np.concatenate([[1.0, 0.5], rng.uniform(1.00009, 60.0, n - 2)])
+        near = np.floor(10.0 ** rng.uniform(0.0, 6.0, n))  # q = 1 as often as q = 10**5
+        q = np.where(rng.random(n) < 0.1, rng.integers(10**8 + 1, 2**53, n), near).astype(float)
+        got = ds._hurwitz_zeta(x, q)
+        for i in [0, 1, *rng.choice(n, 400, replace=False)]:
+            want = oracles.hurwitz_zeta_cephes(float(x[i]), float(q[i]))
+            assert got[i] == want or np.isnan(got[i]) and np.isnan(want)
+
+
+def test_fits_with_scipy_zeta_agree(monkeypatch):
+    # the fit run on scipy's zeta picks the same exponents and cutoffs;
+    # ks and stderr move by at most the rounding of power
+    rng = np.random.default_rng(17)
+    samples = [
+        sample_zeta(2.3, 20000, rng),
+        sample_zeta(1.8, 5000, rng, cutoff=3000),
+        rng.geometric(0.1, size=8000),
+        np.concatenate([rng.integers(1, 30, size=500), sample_zeta(2.5, 500, rng, k_min=30)]),
+        np.concatenate([rng.integers(1, 30, size=2000), sample_zeta(1.9, 2000, rng, k_min=30)]),
+    ]
+    hists = [hist_of(v) for v in samples]
+
+    def fits():
+        out = [select_fit_range(h) for h in hists]
+        for h in hists[:3]:
+            for k_min, k_max_fit in ((1, None), (5, None), (2, 400)):
+                out.append(mle_powerlaw(h, k_min=k_min, k_max_fit=k_max_fit))
+        return out
+
+    ours = fits()
+    monkeypatch.setattr(ds, "_hurwitz_zeta", hurwitz)
+    theirs = fits()
+    for a, b in zip(ours, theirs):
+        assert (a.gamma, a.k_min, a.n_tail, a.k_max_fit, a.powerlaw_plausible) == (
+            b.gamma, b.k_min, b.n_tail, b.k_max_fit, b.powerlaw_plausible
+        )
+        assert a.ks == pytest.approx(b.ks, rel=1e-12, abs=0)
+        assert a.stderr == pytest.approx(b.stderr, rel=1e-12, abs=0)
+
+
 class TestSampleZeta:
     def test_frequencies_match_pmf(self):
         rng = np.random.default_rng(15)
@@ -356,6 +445,33 @@ class TestSampleZeta:
         want = hurwitz(1.3, 1_000_001) / z
         assert frac_beyond > 0
         assert abs(frac_beyond - want) < 5 * np.sqrt(want * (1 - want) / 20000)
+
+    @pytest.mark.parametrize("gamma,k_min,size", [(1.3, 1, 3000), (1.6, 5, 20000)])
+    def test_tail_draws_equal_one_search_per_draw(self, gamma, k_min, size):
+        # the draws beyond the table step together; each must equal its
+        # own doubling-then-bisection search on the survival function
+        values = sample_zeta(gamma, size, np.random.default_rng(19), k_min=k_min)
+        u = np.random.default_rng(19).random(size)
+        z_total = ds._hurwitz_zeta(gamma, k_min)
+        ks = np.arange(k_min, k_min + ds._TABLE_SPAN, dtype=np.float64)
+        tail = np.flatnonzero(u >= (np.cumsum(ks**-gamma) / z_total)[-1])
+        assert len(tail) > 0
+
+        def surv(k):
+            return ds._hurwitz_zeta(gamma, k) / z_total
+
+        for i in tail:
+            target, lo = 1.0 - u[i], k_min + ds._TABLE_SPAN
+            if surv(lo) <= target:
+                assert values[i] == lo - 1
+                continue
+            hi = lo * 2
+            while surv(hi) > target:
+                lo, hi = hi, hi * 2
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if surv(mid) > target else (lo, mid)
+            assert values[i] == lo
 
     def test_deterministic_for_seed(self):
         a = sample_zeta(2.2, 1000, np.random.default_rng(18))
