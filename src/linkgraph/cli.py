@@ -180,7 +180,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate, crawl, and report bias")
     _common_flags(p, source=False)
-    p.add_argument("--workers", type=_AT_LEAST_1, default=1, help="unused, replicas run serially")
+    p.add_argument(
+        "--workers",
+        type=_AT_LEAST_1,
+        default=1,
+        help="forked processes the replicas run on, at most one per replica and usable CPU"
+        " (default 1); results never depend on it, and a worker that dies exits 4",
+    )
     p.add_argument(
         "--seed", type=_ranged(int, lo=0), default=DEFAULT_SEED, help="master RNG seed (default 1)"
     )
@@ -479,7 +485,7 @@ def cmd_simulate(args) -> int:
         page_budget=args.budget,
         budget_fraction=args.budget_fraction,
     )
-    results = run_ensemble(gen_cfg, proto, args.replicas, args.seed)
+    results = run_ensemble(gen_cfg, proto, args.replicas, args.seed, args.workers)
     doc = {"replicas": []}
     files = {}
     for res in results:
@@ -529,6 +535,13 @@ def cmd_report(args) -> int:
 # -- entry point --------------------------------------------------------------
 
 
+def _broken_pool() -> tuple:
+    """The error of a replica pool whose worker died (killed for memory,
+    say), once a pool has run: only ``run_ensemble`` loads its module."""
+    process = sys.modules.get("concurrent.futures.process")
+    return (process.BrokenProcessPool,) if process else ()
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
@@ -564,6 +577,7 @@ def main(argv=None) -> int:
         PowerLawFitError,
         UndefinedStatisticError,
         ProvenanceError,
+        *_broken_pool(),
     ) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 4

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import os
 import struct
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from typing import Union
 
 import numpy as np
@@ -575,37 +577,68 @@ def replica_seed(master_seed: int, index: int, stream: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _replica(
+    gen_cfg: GeneratorConfig, proto: CrawlProto, master_seed: int, index: int
+) -> ReplicaResult:
+    """Generate, crawl, and bias-report replica ``index``."""
+    cfg_i = replace(gen_cfg, rng_seed=replica_seed(master_seed, index, 0))
+    graph, gen_report = generate(cfg_i)
+    n = graph.node_count
+    rng = np.random.default_rng(replica_seed(master_seed, index, 1))
+    seed_count = min(proto.seed_count, n)
+    seeds = tuple(int(s) for s in rng.choice(n, size=seed_count, replace=False))
+    if proto.page_budget is not None:
+        budget = proto.page_budget
+    elif proto.budget_fraction is not None:
+        budget = max(seed_count, int(round(proto.budget_fraction * n)))
+    else:
+        budget = None
+    crawl_cfg = CrawlConfig(
+        seeds=seeds,
+        strategy=proto.strategy,
+        page_budget=budget,
+        frontier_mode=proto.frontier_mode,
+        rng_seed=replica_seed(master_seed, index, 2),
+    )
+    outcome = simulate_crawl(graph, crawl_cfg)
+    return ReplicaResult(index, gen_report, outcome, bias_report(graph, outcome))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_ensemble(
     gen_cfg: GeneratorConfig,
     proto: CrawlProto,
     replicas: int,
     master_seed: int,
+    workers: int = 1,
 ) -> list[ReplicaResult]:
     """Generate, crawl, and bias-report ``replicas`` times with seeds
-    derived from ``master_seed`` in counter mode."""
-    results = []
-    for i in range(replicas):
-        cfg_i = replace(gen_cfg, rng_seed=replica_seed(master_seed, i, 0))
-        graph, gen_report = generate(cfg_i)
-        n = graph.node_count
-        rng = np.random.default_rng(replica_seed(master_seed, i, 1))
-        seed_count = min(proto.seed_count, n)
-        seeds = tuple(int(s) for s in rng.choice(n, size=seed_count, replace=False))
-        if proto.page_budget is not None:
-            budget = proto.page_budget
-        elif proto.budget_fraction is not None:
-            budget = max(seed_count, int(round(proto.budget_fraction * n)))
-        else:
-            budget = None
-        crawl_cfg = CrawlConfig(
-            seeds=seeds,
-            strategy=proto.strategy,
-            page_budget=budget,
-            frontier_mode=proto.frontier_mode,
-            rng_seed=replica_seed(master_seed, i, 2),
-        )
-        outcome = simulate_crawl(graph, crawl_cfg)
-        results.append(
-            ReplicaResult(i, gen_report, outcome, bias_report(graph, outcome))
-        )
-    return results
+    derived from ``master_seed`` in counter mode.
+
+    The replicas run on ``min(workers, replicas, usable CPUs)`` forked
+    processes, or in this process when that is one or the platform
+    cannot fork. Results come back in index order and never depend on
+    ``workers``. An error a replica raises is re-raised here; a worker
+    that dies raises ``concurrent.futures.process.BrokenProcessPool``.
+    """
+    job = partial(_replica, gen_cfg, proto, master_seed)
+    processes = min(workers, replicas, _usable_cpus())
+    if processes > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            # fork, not spawn: a worker starts with the package imported.
+            # This process has built no graph and loaded no scipy, so each
+            # worker's peak RSS, which counts its parent's, starts low.
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(processes, mp_context=context) as pool:
+                return list(pool.map(job, range(replicas)))
+    return [job(i) for i in range(replicas)]

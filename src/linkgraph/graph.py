@@ -156,6 +156,11 @@ class DirectedGraph:
         rev_keys += self.rev_sources
         return _frozen(_in_sorted(rev_keys, keys))
 
+    def __reduce__(self):
+        # pickled as the CSR only and loaded through the constructor: checked,
+        # read-only, and without the derived arrays, which are rebuilt on use
+        return DirectedGraph, (self.node_count, self.fwd_offsets, self.fwd_targets, self.original_ids)
+
     def __repr__(self) -> str:
         return f"DirectedGraph(nodes={self.node_count}, edges={self.edge_count})"
 

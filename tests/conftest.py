@@ -61,3 +61,26 @@ def reseal(blob) -> bytes:
     blob = bytearray(blob)
     blob[12:16] = zlib.crc32(bytes(blob[CACHE_HEADER:])).to_bytes(4, "little")
     return bytes(blob)
+
+
+@pytest.fixture
+def replica_pools(monkeypatch):
+    """Two usable CPUs, so ``run_ensemble`` forks a pool on any runner;
+    returns the process count of each pool it starts, and fails one that
+    asks for more than two processes."""
+    import concurrent.futures
+
+    from linkgraph import crawl_sim
+
+    started = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    class Spy(real):
+        def __init__(self, max_workers, *args, **kwargs):
+            assert max_workers <= 2
+            started.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(crawl_sim, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    return started

@@ -382,7 +382,7 @@ def _pipeline_snapshot(seed):
     }
 
 
-def test_criterion_10_determinism_and_worker_invariance(tmp_path, capsys):
+def test_criterion_10_determinism_and_worker_invariance(tmp_path, capsys, replica_pools):
     """Identical seeds give identical results end to end, through the
     library and through the command line at any worker count."""
     assert _pipeline_snapshot(31) == _pipeline_snapshot(31)
@@ -400,6 +400,7 @@ def test_criterion_10_determinism_and_worker_invariance(tmp_path, capsys):
     first = run_cli(tmp_path / "a", 1)
     again = run_cli(tmp_path / "b", 1)
     wide = run_cli(tmp_path / "c", 4)
+    assert replica_pools == [2], "the replicas did not run in worker processes"
     assert first.keys() == again.keys() == wide.keys()
     assert first == again, "rerun with the same seed changed some output file"
     assert first == wide, "worker count leaked into the results"

@@ -1,6 +1,8 @@
 import argparse
 import gzip
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from linkgraph import cli, save_cache
+from linkgraph import GenerationError, cli, crawl_sim, save_cache
 from linkgraph.cli import main
 
 from conftest import TOY8_EDGES, TOY8_N, cache_targets_at, graph_of, reseal, v1_cache
@@ -402,7 +404,7 @@ class TestSimulate:
         assert (out_dir / "bias_report_0.csv").exists()
         assert (out_dir / "bias_report_1.csv").exists()
 
-    def test_workers_do_not_change_output(self, tmp_path, capsys):
+    def test_workers_do_not_change_output(self, tmp_path, capsys, replica_pools):
         argv = ["simulate", "--n", "300", "--lambda-in", "3", "--reciprocity", "0.2",
                 "--replicas", "2", "--budget", "150", "--export-observed"]
         files = {}
@@ -411,8 +413,46 @@ class TestSimulate:
             code, _, _ = run([*argv, "--workers", workers, "--out", str(out_dir)], capsys)
             assert code == 0
             files[workers] = {f.name: f.read_bytes() for f in sorted(out_dir.iterdir())}
+        assert replica_pools == [2]
         assert "observed_1.txt" in files["1"]
         assert files["1"] == files["3"]
+
+    @pytest.mark.parametrize(
+        "cpus, flags",
+        [(1, ["--replicas", "3", "--workers", "8"]), (2, ["--replicas", "1", "--workers", "2"])],
+    )
+    def test_pool_never_outnumbers_cpus_or_replicas(
+        self, cpus, flags, capsys, monkeypatch, replica_pools
+    ):
+        monkeypatch.setattr(crawl_sim, "_usable_cpus", lambda: cpus)
+        code, _, err = run(["simulate", "--n", "200", *flags], capsys)
+        assert code == 0, err
+        assert replica_pools == []
+
+    def test_failed_replica_in_a_worker_keeps_its_message(self, capsys, monkeypatch, replica_pools):
+        def infeasible(cfg):
+            raise GenerationError("degree sums cannot be balanced")
+
+        monkeypatch.setattr(crawl_sim, "generate", infeasible)
+        argv = ["simulate", "--n", "50", "--replicas", "2", "--workers"]
+        serial, pooled = run([*argv, "1"], capsys), run([*argv, "2"], capsys)
+        assert replica_pools == [2]
+        assert serial == pooled == (4, "", "computation error: degree sums cannot be balanced\n")
+
+    def test_dead_worker_is_a_computation_error(self, capsys, monkeypatch, replica_pools):
+        parent = os.getpid()
+
+        def die(cfg):  # as a worker the OOM killer ends does
+            if os.getpid() == parent:
+                raise AssertionError("the replica ran in the test process")
+            os._exit(1)
+
+        monkeypatch.setattr(crawl_sim, "generate", die)
+        code, out, err = run(["simulate", "--n", "50", "--replicas", "2", "--workers", "2"], capsys)
+        assert replica_pools == [2]
+        assert (code, out) == (4, "")
+        assert err.startswith("computation error: ") and len(err.splitlines()) == 1
+        assert multiprocessing.active_children() == []
 
     def test_bad_workers_rejected(self, capsys):
         code, out, err = run(["simulate", "--n", "200", "--workers", "0"], capsys)

@@ -470,6 +470,32 @@ class TestEnsemble:
             assert ra.bias.to_dict() == rb.bias.to_dict()
             assert ra.outcome.fetched.tolist() == rb.outcome.fetched.tolist()
 
+    def test_workers_return_what_one_process_returns(self, replica_pools):
+        cfg = GeneratorConfig(
+            node_count=600,
+            in_law=ZetaDegreeLaw(2.3, cutoff=60),
+            out_law=PoissonDegreeLaw(4.0),
+            target_reciprocity=0.3,
+            rng_seed=0,
+        )
+        proto = CrawlProto(strategy=CrawlStrategy.BFS, seed_count=3, budget_fraction=0.5)
+        serial = run_ensemble(cfg, proto, replicas=3, master_seed=12, workers=1)
+        pooled = run_ensemble(cfg, proto, replicas=3, master_seed=12, workers=2)
+        assert replica_pools == [2]
+        assert [r.index for r in pooled] == [0, 1, 2]
+        for a, b in zip(serial, pooled, strict=True):
+            assert a.generation == b.generation
+            assert a.outcome.config == b.outcome.config
+            assert a.outcome.true_fingerprint == b.outcome.true_fingerprint
+            for name in ("fetched", "discovered", "observed_to_true"):
+                assert np.array_equal(getattr(a.outcome, name), getattr(b.outcome, name))
+            g, h = a.outcome.observed, b.outcome.observed
+            assert g.node_count == h.node_count
+            for name in ("fwd_offsets", "fwd_targets", "original_ids"):
+                assert np.array_equal(getattr(g, name), getattr(h, name))
+                assert not getattr(h, name).flags.writeable
+            assert a.bias.entries == b.bias.entries
+
     def test_replicas_vary(self):
         cfg = GeneratorConfig(
             node_count=600,

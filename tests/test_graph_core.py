@@ -1,5 +1,6 @@
 import gzip
 import io
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -494,6 +495,25 @@ def test_derived_arrays_are_kept_and_read_only(cls, name):
     assert not first.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         first[0] = first[0]
+
+
+def test_pickled_graph_is_its_checked_read_only_csr():
+    src, dst = np.array([0, 1, 1, 2, 3, 4]), np.array([1, 0, 2, 0, 4, 2])
+    g = DirectedGraph.from_edges(5, src, dst, np.array([10, 3, 700, 2**40, 5]))
+    mutual, _ = g.mutual, g._reverse
+    back = pickle.loads(pickle.dumps(g))
+    assert (back.node_count, back.edge_count) == (g.node_count, g.edge_count)
+    for name in ("fwd_offsets", "fwd_targets", "original_ids"):
+        assert np.array_equal(getattr(back, name), getattr(g, name))
+        assert not getattr(back, name).flags.writeable
+    assert "mutual" not in vars(back) and "_reverse" not in vars(back)  # only the CSR crossed
+    assert np.array_equal(back.mutual, mutual) and not back.mutual.flags.writeable
+
+    forged = object.__new__(DirectedGraph)  # a CSR the constructor never saw
+    vars(forged).update(vars(g), fwd_targets=np.array([1, 2, 0, 0, 4, 2], dtype=np.int32))
+    blob = pickle.dumps(forged)
+    with pytest.raises(ValueError, match="not strictly ascending"):
+        pickle.loads(blob)
 
 
 @pytest.mark.parametrize(
