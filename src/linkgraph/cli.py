@@ -275,10 +275,22 @@ def _outdir(args) -> Path | None:
     return out
 
 
+# the switches that only add a table to the command's output
+_TABLE_SWITCHES = ("classes", "per_node", "scatter", "export_subgraph", "export_observed")
+
+
 def _out_ok(args) -> None:
     """A --out that names a file or lies under one fails before any work;
-    the directory itself is made only when the command writes to it."""
+    the directory itself is made only when the command writes to it. A
+    table switch with neither --out nor --format json fails too: its
+    table would go nowhere."""
     if args.out is None:
+        for dest in _TABLE_SWITCHES:
+            if args.format == "csv" and getattr(args, dest, False):
+                flag = "--" + dest.replace("_", "-")
+                raise _UsageError(
+                    f"{flag} writes a table: give --out DIR, or --format json to print it"
+                )
         return
     out = Path(args.out)
     for path in (out, *out.parents):

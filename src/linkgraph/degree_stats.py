@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -281,9 +281,6 @@ class PowerLawFit:
     n_tail: int
     ks: float
     powerlaw_plausible: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def mle_powerlaw(

@@ -9,8 +9,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict
-from itertools import chain
-from typing import Iterable
 
 import numpy as np
 
@@ -23,11 +21,8 @@ from .reciprocity import RatioStat, ReciprocalDecomposition
 
 
 def _fmt(x) -> str:
-    """Stable scalar formatting for CSV cells: None is blank, floats
-    use repr (which reads ``nan`` for NaN)."""
-    if x is None:
-        return ""
-    return repr(x) if isinstance(x, float) else str(x)
+    """A scalar's CSV cell: None is blank, anything else ``str``."""
+    return "" if x is None else str(x)
 
 
 def json_text(obj) -> str:
@@ -51,46 +46,33 @@ def _jsonable(obj):
     return obj
 
 
-def _table(head: list[str], *columns: Iterable[str], sep: str = ",") -> str:
+_BLOCK = 1 << 12  # rows per block: all of a block's cells are alive at once
+
+
+def _table(head: list[str], *columns, sep: str = ",") -> str:
     """``head`` lines, then one ``sep``-joined row per position of the
-    string columns; no rows and no head give the empty string. Columns
-    may be lazy, so that each cell is freed once its row is built."""
-    lines = [*head, *map(sep.join, zip(*columns))]
-    if lines:
-        lines.append("")  # the final newline, without copying the text
-    return "\n".join(lines)
+    columns; no rows and no head give the empty string. A column is a
+    numpy array or a short list of ready strings, and each cell is
+    ``str`` of its value: a float's shortest round-trip repr, ``nan`` for
+    NaN. Rows are built and joined one block at a time, so the table is
+    never held as one string per row."""
+    parts = [f"{line}\n" for line in head]
+    for start in range(0, len(columns[0]), _BLOCK):
+        blocks = [c[start : start + _BLOCK] for c in columns]
+        cells = [map(str, b.tolist() if isinstance(b, np.ndarray) else b) for b in blocks]
+        parts.append("\n".join(map(sep.join, zip(*cells))) + "\n")
+    return "".join(parts)
 
 
-_BLOCK = 1 << 16  # values per .tolist(), so no column is held as one whole list
-
-
-def _cells(fmt, values: np.ndarray) -> Iterable[str]:
-    blocks = (values[i : i + _BLOCK].tolist() for i in range(0, len(values), _BLOCK))
-    return map(fmt, chain.from_iterable(blocks))
-
-
-def _ints(values: np.ndarray) -> Iterable[str]:
-    return _cells(str, np.asarray(values, dtype=np.int64))
-
-
-def _floats(values: np.ndarray, nan: str = "nan") -> Iterable[str]:
-    """Shortest round-trip repr of each value, and ``nan`` in NaN cells."""
-    values = np.asarray(values, dtype=np.float64)
-    cells = _cells(repr, values)  # repr(math.nan) is "nan"
-    if nan != "nan":
-        cells = np.where(np.isnan(values), nan, np.array(list(cells), dtype=object)).tolist()
-    return cells
-
-
-def _node_ids(g: DirectedGraph | UndirectedGraph, dense: np.ndarray) -> Iterable[str]:
+def _node_ids(g: DirectedGraph | UndirectedGraph, dense: np.ndarray) -> np.ndarray:
     """The input ids of dense node ids: every per-node table prints these."""
-    return _ints(dense if g.original_ids is None else g.original_ids[dense])
+    return dense if g.original_ids is None else g.original_ids[dense]
 
 
 def histogram_csv(h: DegreeHistogram, curve: CumulativeCurve) -> str:
     """`degree,count,p,pc` rows over the observed degrees."""
     head = f"# direction={h.direction.value} total_nodes={h.total_nodes}"
-    cols = _ints(h.degrees), _ints(h.counts), _floats(h.probabilities), _floats(curve.pc)
+    cols = h.degrees, h.counts, h.probabilities, curve.pc
     return _table([head, "degree,count,p,pc"], *cols)
 
 
@@ -106,9 +88,8 @@ def profile_csv(p: CorrelationProfile) -> str:
     if p.note:
         head.append(f"# note: {p.note}")
     head.append("k,mean_raw,mean_normalized,n_k,stderr")
-    norm = [""] * len(p.degrees) if p.mean_normalized is None else _floats(p.mean_normalized)
-    cols = _ints(p.degrees), _floats(p.mean_raw), norm, _ints(p.n_k), _floats(p.stderr)
-    return _table(head, *cols)
+    norm = [""] * len(p.degrees) if p.mean_normalized is None else p.mean_normalized
+    return _table(head, p.degrees, p.mean_raw, norm, p.n_k, p.stderr)
 
 
 def partition_text(part: BowTiePartition) -> str:
@@ -118,14 +99,14 @@ def partition_text(part: BowTiePartition) -> str:
 
 
 def partition_classes_csv(part: BowTiePartition, g: DirectedGraph) -> str:
-    names = _cells([c.value for c in _CLASS_ORDER].__getitem__, part.class_of)
+    names = np.array([c.value for c in _CLASS_ORDER], dtype=object)[part.class_of]
     return _table(["node,class"], _node_ids(g, np.arange(part.node_count)), names)
 
 
 def decomposition_csv(d: ReciprocalDecomposition, g: DirectedGraph) -> str:
     """`node,q_in,q_out,q_r` per node."""
     ids = _node_ids(g, np.arange(d.node_count))
-    return _table(["node,q_in,q_out,q_r"], ids, _ints(d.q_in), _ints(d.q_out), _ints(d.q_r))
+    return _table(["node,q_in,q_out,q_r"], ids, d.q_in, d.q_out, d.q_r)
 
 
 def ratios_dict(ratios: dict[str, RatioStat]) -> dict:
@@ -136,7 +117,9 @@ def scatter_csv(rows: np.ndarray, g: DirectedGraph | UndirectedGraph) -> str:
     """`node,q_r,mean_neighbor_q_r,clustering` per row of
     :func:`reciprocal_scatter`; clustering is blank where undefined."""
     ids = _node_ids(g, rows[:, 0].astype(np.int64))
-    cols = _ints(rows[:, 1]), _floats(rows[:, 2]), _floats(rows[:, 3], nan="")
+    clustering = rows[:, 3].astype(object)
+    clustering[np.isnan(rows[:, 3])] = ""
+    cols = rows[:, 1].astype(np.int64), rows[:, 2], clustering
     return _table(["node,q_r,mean_neighbor_q_r,clustering"], ids, *cols)
 
 

@@ -615,6 +615,38 @@ class TestUsageErrors:
         assert err.startswith("usage error:")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "argv, flag, table",
+        [
+            (["bowtie", "--cache", "CACHE"], "--classes", "bowtie_classes"),
+            (["recip", "--cache", "CACHE"], "--per-node", "recip_decomposition"),
+            (["recip", "--cache", "CACHE"], "--scatter", "recip_scatter"),
+            (["recip", "--cache", "CACHE"], "--export-subgraph", "recip_subgraph_edges"),
+            (["simulate", "--n", "50"], "--export-observed", "observed_0"),
+        ],
+    )
+    def test_table_switch_needs_a_destination(
+        self, toy_cache, tmp_path, monkeypatch, capsys, argv, flag, table
+    ):
+        # with csv and no --out the table was formatted and dropped, and
+        # stdout matched a run without the switch
+        argv = [str(toy_cache) if a == "CACHE" else a for a in argv]
+        rule = f"usage error: {flag} writes a table: give --out DIR, or --format json to print it\n"
+        key = "LINKGRAPH_" + flag[2:].replace("-", "_").upper()
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_load_graph", None)  # the check comes before any work
+            m.setattr(cli, "run_ensemble", None)
+            assert run([*argv, flag], capsys) == (2, "", rule)
+            m.setenv(key, "1")
+            assert run(argv, capsys) == (2, "", rule)
+            m.setenv("LINKGRAPH_FORMAT", "csv")
+            assert run([*argv, flag], capsys) == (2, "", rule)
+        code, out, _ = run([*argv, flag, "--format", "json"], capsys)
+        assert code == 0 and table in json.loads(out)["tables"]
+        code, out, _ = run([*argv, flag, "--out", str(tmp_path / "o")], capsys)
+        assert code == 0 and "tables" not in json.loads(out)
+        assert list((tmp_path / "o").glob(f"{table}.*"))
+
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["degrees", "--help"])

@@ -6,6 +6,7 @@ normalized column, empty tables, edgeless graphs, the undirected
 ``u < v`` rule and sparse input ids.
 """
 import json
+import tracemalloc
 
 import numpy as np
 
@@ -244,10 +245,52 @@ def test_tables_match_a_per_row_reference():
 
 
 def test_columns_longer_than_one_block():
-    n = 3 * export._BLOCK // 2
+    b = export._BLOCK
+    n = 3 * b // 2
     g = graph_of(n, [(v, v + 1) for v in range(n - 1)])
     assert export.edge_list_text(g) == "".join(f"{v} {v + 1}\n" for v in range(n - 1))
     d = decompose(g)
     assert export.decomposition_csv(d, g) == "node,q_in,q_out,q_r\n" + "".join(
         f"{v},{int(v > 0)},{int(v < n - 1)},0\n" for v in range(n)
     )
+    # two mutual paths split at the block edge: the larger is the SCC, and
+    # rows b - 1 and b, one on each side, have q_r 1 and blank clustering
+    links = [(v, v + 1) for v in range(n - 1) if v != b - 1]
+    m = graph_of(n, links + [(v, u) for u, v in links])
+    nbrs = [[] for _ in range(n)]
+    for u, v in links:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    assert export.scatter_csv(reciprocal_scatter(decompose(m)), m) == (
+        "node,q_r,mean_neighbor_q_r,clustering\n"
+        + "".join(
+            f"{v},{len(a)},{sum(len(nbrs[u]) for u in a) / len(a)!r},"
+            f"{'0.0' if len(a) == 2 else ''}\n"
+            for v, a in enumerate(nbrs)
+        )
+    )
+    assert export.partition_classes_csv(bowtie_decompose(m), m) == "node,class\n" + "".join(
+        f"{v},{'SCC' if v < b else 'DISCONNECTED'}\n" for v in range(n)
+    )
+
+
+def test_per_node_tables_peak_at_a_few_times_their_text():
+    # one string per row, held until the final join, peaked at 4.5-5.8x
+    rng = np.random.default_rng(3)
+    n, m = 100_000, 400_000
+    ids = (1 << 39) + np.arange(n, dtype=np.int64) * 5_000_011  # 13-digit input ids
+    g = DirectedGraph.from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m), ids)
+    d, part = decompose(g), bowtie_decompose(g)
+    writers = {
+        "edge_list_text": lambda: export.edge_list_text(g),
+        "decomposition_csv": lambda: export.decomposition_csv(d, g),
+        "partition_classes_csv": lambda: export.partition_classes_csv(part, g),
+    }
+    for name, write in writers.items():
+        tracemalloc.start()
+        try:
+            size = len(write())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * size, (name, peak / size)
