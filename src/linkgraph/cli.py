@@ -9,9 +9,11 @@ as a ``--flag=value`` token before the command line's own, so explicit
 flags win and both pass the same checks. All randomness is
 ``simulate``'s and flows from its ``--seed`` with a fixed default of 1,
 never from the clock, and no statistic is computed in this layer;
-commands only orchestrate library calls and serialize results. Exit
+commands only orchestrate library calls, hand each table to one output
+path as soon as it is made, and return their JSON document. Exit
 codes: 0 success, 2 usage, 3 unreadable or malformed input, 4 numeric
-or generation failure; each failure is one line on stderr.
+or generation failure; each failure is one error line on stderr,
+after any --verbose lines of the work already done.
 """
 from __future__ import annotations
 
@@ -300,132 +302,136 @@ def _out_ok(args) -> None:
             return
 
 
-def _emit(args, doc: dict, files: dict[str, str]) -> None:
-    """Print the JSON document; write it and the tabular files under
-    --out. With --format json the tables are folded into the JSON
-    document instead of standalone CSV files."""
-    out = _outdir(args)
+def _run(args) -> None:
+    """Run the command and print its document. Each table goes out through
+    ``put`` as soon as it is made: with --format json it is folded into
+    the document's ``tables``, otherwise it is written under --out, or
+    dropped when there is none. ``<command>.json`` is written last, so
+    it marks a complete run."""
+    tables = {}
+
+    def put(name: str, table: str) -> None:
+        data = table.encode("utf-8")
+        log.info("%s: %d bytes", name, len(data))
+        if args.format == "json":
+            tables[name.rsplit(".", 1)[0]] = table.splitlines()
+        elif args.out is not None:
+            (_outdir(args) / name).write_bytes(data)
+
+    doc = args.fn(args, put)
     if args.format == "json":
-        doc = dict(doc)
-        doc["tables"] = {
-            name.rsplit(".", 1)[0]: table.splitlines() for name, table in files.items()
-        }
-        files = {}
+        doc = {**doc, "tables": tables}
+    out = _outdir(args)
     text = export.json_text(doc)
     sys.stdout.write(text)
     if out is not None:
-        for name, content in {f"{args.command}.json": text, **files}.items():
-            (out / name).write_text(content, encoding="utf-8")
+        (out / f"{args.command}.json").write_text(text, encoding="utf-8")
 
 
 # -- commands ----------------------------------------------------------------
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args, put) -> dict:
     graph, report = build_from_edge_list(args.input)
     _outdir(args)  # made before the cache, which may live under it
     if args.cache:
         Path(args.cache).write_bytes(save_cache(graph))
         log.info("cache written to %s", args.cache)
-    _emit(args, {"ingest": report.to_dict()}, {})
-    return 0
+    return {"ingest": report.to_dict()}
 
 
-def cmd_bowtie(args) -> int:
+def cmd_bowtie(args, put) -> dict:
     graph = _load_graph(args)
     part = bowtie_decompose(graph)
-    files = {"bowtie_summary.txt": export.partition_text(part)}
+    put("bowtie_summary.txt", export.partition_text(part))
     if args.classes:
-        files["bowtie_classes.csv"] = export.partition_classes_csv(part, graph)
-    _emit(args, part.to_dict(), files)
-    return 0
+        put("bowtie_classes.csv", export.partition_classes_csv(part, graph))
+    return part.to_dict()
 
 
-def _degree_block(hist, curve, summary, kmin) -> tuple[dict, str]:
-    """The summary entry and the histogram table of one degree sequence; a
-    tail that cannot be fitted is a ``fit_error`` note. The caller makes
-    ``curve`` and ``summary``, so each command keeps its own call order."""
+def _degree_block(put, name, hist, curve, summary, kmin) -> dict:
+    """The summary entry of one degree sequence, after its histogram
+    table goes out as ``name``; a tail that cannot be fitted is a
+    ``fit_error`` note. The caller makes ``curve`` and ``summary``, so
+    each command keeps its own call order."""
     if kmin is None:
         fit, note = value_or_note(select_fit_range, hist)
     else:
         fit, note = value_or_note(mle_powerlaw, hist, k_min=kmin)
-    return export.summary_dict(summary, fit, note), export.histogram_csv(hist, curve)
+    put(name, export.histogram_csv(hist, curve))
+    return export.summary_dict(summary, fit, note)
 
 
-def cmd_degrees(args) -> int:
+def cmd_degrees(args, put) -> dict:
     graph = _load_graph(args)
     wanted = list(Direction) if args.direction == "all" else [Direction(args.direction)]
     doc = {}
-    files = {}
     for direction in wanted:
         name = direction.value
         hist = degree_histogram(graph, direction)
-        doc[name], files[f"degrees_{name}.csv"] = _degree_block(
-            hist, cumulative(hist), summarize(hist), args.kmin
+        doc[name] = _degree_block(
+            put, f"degrees_{name}.csv", hist, cumulative(hist), summarize(hist), args.kmin
         )
-    _emit(args, doc, files)
-    return 0
+    return doc
 
 
-def cmd_corr(args) -> int:
+def cmd_corr(args, put) -> dict:
     graph = _load_graph(args)
     ratio, note = value_or_note(crossed_one_point, graph)
     doc = {"crossed_one_point": {"value": ratio, "note": note}}
-    files = {}
     profile, note = value_or_note(avg_out_given_in, graph)
     if note is None:
-        files["corr_out_given_in.csv"] = export.profile_csv(profile)
+        put("corr_out_given_in.csv", export.profile_csv(profile))
     else:
         doc["out_given_in"] = {"note": note}
     profile, note = value_or_note(knn_undirected, undirected_view(graph))
     if note is None:
-        files["corr_knn_undirected.csv"] = export.profile_csv(profile)
+        put("corr_knn_undirected.csv", export.profile_csv(profile))
     else:
         doc["knn_undirected"] = {"note": note}
     norms = doc["normalizations"] = {}
     for variant in KnnVariant:
         profile, note = value_or_note(directed_knn, graph, variant)
         if note is None:
-            files[f"corr_knn_{variant.value}.csv"] = export.profile_csv(profile)
+            put(f"corr_knn_{variant.value}.csv", export.profile_csv(profile))
             norms[variant.value] = profile.normalization
         else:
             norms[variant.value] = None
             doc.setdefault("profile_notes", {})[variant.value] = note
-    _emit(args, doc, files)
-    return 0
+    return doc
 
 
-def cmd_recip(args) -> int:
+def cmd_recip(args, put) -> dict:
     graph = _load_graph(args)
     d = decompose(graph)
     hist, summary = r_degree_stats(d)
-    doc, files = {}, {}
-    doc["q_r"], files["recip_qr_histogram.csv"] = _degree_block(
-        hist, cumulative(hist), summary, args.kmin
-    )
+    doc = {
+        "q_r": _degree_block(
+            put, "recip_qr_histogram.csv", hist, cumulative(hist), summary, args.kmin
+        )
+    }
     doc["ratios"] = export.ratios_dict(crossed_one_point_nr(d))
     doc["reciprocity_fraction"], note = value_or_note(d.reciprocity_fraction)
     if note is not None:
         doc["reciprocity_note"] = note
     for key, profile in conditional_means_nr(d).items():
-        files[f"recip_{key}.csv"] = export.profile_csv(profile)
+        put(f"recip_{key}.csv", export.profile_csv(profile))
     sub = reciprocal_subgraph(d)
     for variant in ReciprocalKnnVariant:
-        files[f"recip_knn_{variant.value}.csv"] = export.profile_csv(reciprocal_knn(d, variant))
+        put(f"recip_knn_{variant.value}.csv", export.profile_csv(reciprocal_knn(d, variant)))
     profile, note = value_or_note(knn_undirected, sub)
     if note is None:
-        files["recip_subgraph_knn.csv"] = export.profile_csv(profile)
+        put("recip_subgraph_knn.csv", export.profile_csv(profile))
     else:
         doc["subgraph_knn_note"] = note
-    files["recip_clustering.csv"] = export.profile_csv(avg_clustering_by_degree(sub))
+    put("recip_clustering.csv", export.profile_csv(avg_clustering_by_degree(sub)))
     if args.per_node:
-        files["recip_decomposition.csv"] = export.decomposition_csv(d, graph)
+        put("recip_decomposition.csv", export.decomposition_csv(d, graph))
     if args.scatter:
-        files["recip_scatter.csv"] = export.scatter_csv(reciprocal_scatter(d), sub)
+        put("recip_scatter.csv", export.scatter_csv(reciprocal_scatter(d), sub))
     if args.export_subgraph:
-        files["recip_subgraph_edges.txt"] = export.edge_list_text(sub)
-    _emit(args, doc, files)
-    return 0
+        put("recip_subgraph_edges.txt", export.edge_list_text(sub))
+    return doc
 
 
 def _zeta_law(side: str, gamma: float, k_min: int | None, cutoff: int | None, n: int):
@@ -477,7 +483,7 @@ def _resolve_laws(args):
     return laws
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, put) -> dict:
     if args.seed_count > args.n:
         raise _UsageError(f"--seed-count must be <= --n = {args.n}")
     if args.budget is not None and args.budget < args.seed_count:
@@ -497,10 +503,8 @@ def cmd_simulate(args) -> int:
         page_budget=args.budget,
         budget_fraction=args.budget_fraction,
     )
-    results = run_ensemble(gen_cfg, proto, args.replicas, args.seed, args.workers)
     doc = {"replicas": []}
-    files = {}
-    for res in results:
+    for res in run_ensemble(gen_cfg, proto, args.replicas, args.seed, args.workers):
         doc["replicas"].append(
             {
                 "index": res.index,
@@ -516,17 +520,15 @@ def cmd_simulate(args) -> int:
                 "bias": res.bias.to_dict(),
             }
         )
-        files[f"bias_report_{res.index}.csv"] = export.bias_report_csv(res.bias)
+        put(f"bias_report_{res.index}.csv", export.bias_report_csv(res.bias))
         if args.export_observed:
-            files[f"observed_{res.index}.txt"] = export.edge_list_text(
-                res.outcome.observed
-            )
+            put(f"observed_{res.index}.txt", export.edge_list_text(res.outcome.observed))
         log.info("replica %d: fetched %d nodes", res.index, len(res.outcome.fetched))
-    _emit(args, doc, files)
-    return 0
+        del res  # so the next replica is made without this one held
+    return doc
 
 
-def cmd_report(args) -> int:
+def cmd_report(args, put) -> dict:
     import json
 
     base = Path(args.dir)
@@ -540,8 +542,8 @@ def cmd_report(args) -> int:
             merged[path.stem] = json.loads(path.read_text(encoding="utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise _InputError(f"{path}: not a JSON document: {exc}") from None
-    _emit(args, merged, {})
-    return 0
+        log.info("merged %s", path.name)
+    return merged
 
 
 # -- entry point --------------------------------------------------------------
@@ -554,23 +556,28 @@ def _broken_pool() -> tuple:
     return (process.BrokenProcessPool,) if process else ()
 
 
+def _log_to_stderr(verbose: bool) -> None:
+    """Send the package's log records to the current stderr, at INFO with
+    --verbose and WARNING without, on every call: a later ``main()`` in
+    the same process takes its own setting, and the root logger of a
+    program that embeds the CLI is left alone."""
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    log.handlers[:] = [handler]
+    log.setLevel(logging.INFO if verbose else logging.WARNING)
+    log.propagate = False
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         parser = build_parser()
         args = parser.parse_args(_env_argv(parser, argv))
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    logging.basicConfig(
-        level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
-    try:
+        _log_to_stderr(args.verbose)
         _out_ok(args)
         np.seterr(all="ignore")
-        return args.fn(args)
+        _run(args)
+        return 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,7 @@ import os
 import struct
 from dataclasses import asdict, dataclass, replace
 from functools import partial
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -617,14 +617,17 @@ def run_ensemble(
     replicas: int,
     master_seed: int,
     workers: int = 1,
-) -> list[ReplicaResult]:
+) -> Iterator[ReplicaResult]:
     """Generate, crawl, and bias-report ``replicas`` times with seeds
     derived from ``master_seed`` in counter mode.
 
     The replicas run on ``min(workers, replicas, usable CPUs)`` forked
     processes, or in this process when that is one or the platform
-    cannot fork. Results come back in index order and never depend on
-    ``workers``. An error a replica raises is re-raised here; a worker
+    cannot fork. Results are yielded in index order, each once it is
+    done, and never depend on ``workers``; in this process a replica
+    runs only when the next result is asked for. Closing the iterator
+    early cancels the replicas that have not started and waits for the
+    running ones. An error a replica raises is re-raised here; a worker
     that dies raises ``concurrent.futures.process.BrokenProcessPool``.
     """
     job = partial(_replica, gen_cfg, proto, master_seed)
@@ -640,5 +643,6 @@ def run_ensemble(
             # worker's peak RSS, which counts its parent's, starts low.
             context = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(processes, mp_context=context) as pool:
-                return list(pool.map(job, range(replicas)))
-    return [job(i) for i in range(replicas)]
+                yield from pool.map(job, range(replicas))
+            return
+    yield from map(job, range(replicas))

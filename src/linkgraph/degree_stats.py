@@ -98,14 +98,6 @@ class CumulativeCurve:
     def pc(self) -> np.ndarray:
         return self.suffix_counts / self.total_nodes
 
-    def at(self, degree) -> np.ndarray:
-        """P_c evaluated at arbitrary integer degree(s)."""
-        k = np.asarray(degree)
-        idx = np.searchsorted(self.degrees, k, side="left")
-        ext = np.concatenate([self.suffix_counts, [0]])
-        out = ext[idx] / self.total_nodes
-        return float(out) if np.isscalar(degree) else out
-
 
 def degree_histogram(g: DirectedGraph, direction: Direction) -> DegreeHistogram:
     """Histogram of in-, out-, undirected, or reciprocal degrees. The

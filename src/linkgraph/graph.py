@@ -50,14 +50,6 @@ class IngestReport:
     nodes: int
     edges: int
 
-    def balanced(self) -> bool:
-        return self.raw_lines == (
-            self.edges
-            + self.self_loops_removed
-            + self.duplicates_removed
-            + self.skipped_lines
-        )
-
     def to_dict(self) -> dict:
         return asdict(self)
 

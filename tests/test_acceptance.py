@@ -365,12 +365,12 @@ def _pipeline_snapshot(seed):
     hist = degree_histogram(g, Direction.IN)
     fit = mle_powerlaw(hist, k_min=1)
     prof = directed_knn(g, KnnVariant.OUT_NN_OF_IN)
-    results = run_ensemble(
+    results = list(run_ensemble(
         cfg,
         CrawlProto(strategy=CrawlStrategy.RANDOM_FRONTIER,
                    frontier_mode=FrontierMode.FETCHED_ONLY,
                    seed_count=3, budget_fraction=0.5),
-        replicas=3, master_seed=seed)
+        replicas=3, master_seed=seed))
     return {
         "generation": asdict(report),
         "bowtie": bowtie_decompose(g).to_dict(),

@@ -816,6 +816,86 @@ class TestReport:
         assert len(err.splitlines()) == 1
 
 
+class TestOutputPath:
+    """Each table is written as soon as it is made, ``<command>.json``
+    last; ``--verbose`` names each table on stderr."""
+
+    def test_a_replica_is_written_before_the_next_is_formatted(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        out_dir, seen, real = tmp_path / "sim", [], cli.export.edge_list_text
+
+        def spy(graph):
+            seen.append(sorted(p.name for p in out_dir.iterdir()) if out_dir.is_dir() else [])
+            return real(graph)
+
+        monkeypatch.setattr(cli.export, "edge_list_text", spy)
+        argv = ["simulate", "--n", "300", "--replicas", "3", "--export-observed"]
+        code, _, err = run([*argv, "--out", str(out_dir)], capsys)
+        assert code == 0, err
+        assert len(seen) == 3
+        assert "observed_0.txt" in seen[1] and "observed_1.txt" not in seen[1]
+        assert "simulate.json" not in seen[2]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failed_replica_leaves_the_earlier_tables_and_no_document(
+        self, workers, tmp_path, capsys, monkeypatch, replica_pools
+    ):
+        real = crawl_sim.generate
+
+        def second_fails(cfg):
+            if cfg.rng_seed == crawl_sim.replica_seed(cli.DEFAULT_SEED, 1, 0):
+                raise GenerationError("replica 1 cannot be balanced")
+            return real(cfg)
+
+        monkeypatch.setattr(crawl_sim, "generate", second_fails)
+        out_dir = tmp_path / "sim"
+        argv = ["simulate", "--n", "200", "--replicas", "3", "--workers", workers]
+        code, out, err = run([*argv, "--out", str(out_dir)], capsys)
+        assert (code, out, err) == (4, "", "computation error: replica 1 cannot be balanced\n")
+        assert sorted(p.name for p in out_dir.iterdir()) == ["bias_report_0.csv"]
+        assert replica_pools == ([2] if workers == "2" else [])
+        assert multiprocessing.active_children() == []
+
+    def test_verbose_names_each_table_and_changes_no_output(
+        self, toy_cache, edge_file, tmp_path, capsys
+    ):
+        docs = tmp_path / "docs"
+        assert run(["bowtie", "--cache", str(toy_cache), "--out", str(docs)], capsys)[0] == 0
+        commands = {
+            "ingest": ["ingest", "--input", str(edge_file), "--cache", "OUT/g.wgl"],
+            "bowtie": ["bowtie", "--cache", str(toy_cache), "--classes"],
+            "degrees": ["degrees", "--cache", str(toy_cache)],
+            "corr": ["corr", "--cache", str(toy_cache)],
+            "recip": ["recip", "--cache", str(toy_cache), "--per-node"],
+            "simulate": ["simulate", "--n", "200", "--replicas", "2"],
+            "report": ["report", "--dir", str(docs)],
+        }
+        for name, argv in commands.items():
+            runs = {}
+            for flags in ([], ["--verbose"]):
+                out_dir = tmp_path / name / str(len(flags))
+                argv_out = [a.replace("OUT", str(out_dir)) for a in argv]
+                code, out, err = run([*argv_out, *flags, "--out", str(out_dir)], capsys)
+                assert code == 0, err
+                files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+                runs[bool(flags)] = (out, files, err)
+            assert runs[True][:2] == runs[False][:2], name
+            assert runs[False][2] == "", name
+            lines = runs[True][2].splitlines()
+            assert lines and all(line.startswith("INFO linkgraph: ") for line in lines), name
+            for table in set(runs[True][1]) - {f"{name}.json", "g.wgl"}:
+                assert any(line.startswith(f"INFO linkgraph: {table}: ") for line in lines)
+
+    def test_each_call_takes_its_own_verbosity(self, capsys):
+        argv = ["simulate", "--n", "50"]
+        assert run(argv, capsys)[::2] == (0, "")
+        code, _, err = run([*argv, "--verbose"], capsys)
+        assert code == 0
+        assert "INFO linkgraph: bias_report_0.csv: " in err
+        assert run(argv, capsys)[::2] == (0, "")
+
+
 def test_console_script_help():
     proc = subprocess.run(
         [sys.executable, "-m", "linkgraph.cli", "--help"],

@@ -1,3 +1,6 @@
+import multiprocessing
+import time
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from linkgraph import (
     run_ensemble,
     simulate_crawl,
 )
+from linkgraph import crawl_sim
 from linkgraph.crawl_sim import (
     draw_degree_sequence,
     graph_fingerprint,
@@ -479,8 +483,8 @@ class TestEnsemble:
             rng_seed=0,
         )
         proto = CrawlProto(strategy=CrawlStrategy.BFS, seed_count=3, budget_fraction=0.5)
-        serial = run_ensemble(cfg, proto, replicas=3, master_seed=12, workers=1)
-        pooled = run_ensemble(cfg, proto, replicas=3, master_seed=12, workers=2)
+        serial = list(run_ensemble(cfg, proto, replicas=3, master_seed=12, workers=1))
+        pooled = list(run_ensemble(cfg, proto, replicas=3, master_seed=12, workers=2))
         assert replica_pools == [2]
         assert [r.index for r in pooled] == [0, 1, 2]
         for a, b in zip(serial, pooled, strict=True):
@@ -496,6 +500,39 @@ class TestEnsemble:
                 assert not getattr(h, name).flags.writeable
             assert a.bias.entries == b.bias.entries
 
+    def test_a_replica_runs_only_when_asked_for(self, monkeypatch):
+        ran, real = [], crawl_sim._replica
+
+        def recorded(gen_cfg, proto, master_seed, index):
+            ran.append(index)
+            return real(gen_cfg, proto, master_seed, index)
+
+        monkeypatch.setattr(crawl_sim, "_replica", recorded)
+        cfg = GeneratorConfig(300, PoissonDegreeLaw(3.0), PoissonDegreeLaw(3.0), 0.0, rng_seed=0)
+        results = run_ensemble(cfg, CrawlProto(), replicas=3, master_seed=4, workers=1)
+        assert ran == []
+        assert next(results).index == 0
+        assert ran == [0]
+
+    def test_closing_early_cancels_the_replicas_not_started(
+        self, tmp_path, monkeypatch, replica_pools
+    ):
+        real = crawl_sim.generate
+
+        def marked(cfg):  # runs in a worker: a file marks each replica begun
+            (tmp_path / str(cfg.rng_seed)).touch()
+            time.sleep(0.05)
+            return real(cfg)
+
+        monkeypatch.setattr(crawl_sim, "generate", marked)
+        cfg = GeneratorConfig(50, PoissonDegreeLaw(2.0), PoissonDegreeLaw(2.0), 0.0, rng_seed=0)
+        results = run_ensemble(cfg, CrawlProto(), replicas=50, master_seed=4, workers=2)
+        assert next(results).index == 0
+        results.close()
+        assert replica_pools == [2]
+        assert 1 <= len(list(tmp_path.iterdir())) < 50
+        assert multiprocessing.active_children() == []
+
     def test_replicas_vary(self):
         cfg = GeneratorConfig(
             node_count=600,
@@ -505,7 +542,7 @@ class TestEnsemble:
             rng_seed=0,
         )
         proto = CrawlProto(strategy=CrawlStrategy.BFS, budget_fraction=0.5)
-        res = run_ensemble(cfg, proto, replicas=2, master_seed=78)
+        res = list(run_ensemble(cfg, proto, replicas=2, master_seed=78))
         assert not same_structure(res[0].outcome.observed, res[1].outcome.observed)
 
     def test_page_budget_wins_over_fraction(self):
@@ -519,5 +556,5 @@ class TestEnsemble:
         proto = CrawlProto(
             strategy=CrawlStrategy.BFS, page_budget=10, budget_fraction=0.9
         )
-        res = run_ensemble(cfg, proto, replicas=1, master_seed=5)
+        res = list(run_ensemble(cfg, proto, replicas=1, master_seed=5))
         assert len(res[0].outcome.fetched) <= 10
