@@ -104,21 +104,83 @@ def _reach_mask(offsets: np.ndarray, targets: np.ndarray, seeds: np.ndarray) -> 
     return reached[:n]
 
 
-def bowtie_decompose(g: DirectedGraph) -> BowTiePartition:
-    """Full six-class partition around the largest SCC.
+# Steps a numpy frontier search takes before it gives way to the compiled
+# traversals. A step is a few passes over n booleans plus the frontier's
+# rows, so a search costs at most 64 such passes plus its edges, whatever
+# the graph's depth. Web-like graphs with a majority core finish in a few
+# dozen steps (at most 27 on the benchmark's graphs), while a deep graph
+# gives way after milliseconds.
+_LEVELS = 64
 
-    The core is the largest strong component, ties broken by smallest
-    contained node id; on an edgeless graph that leaves the single node
-    with the smallest id as the core. An empty graph yields an all-empty
-    partition with zero percentages.
+
+def _search(csrs, blocked: np.ndarray, seeds: np.ndarray) -> np.ndarray | None:
+    """Mask of the nodes ``seeds`` reach along the rows of every CSR in
+    ``csrs``, seeds included, never passing through a node of ``blocked``
+    (which the mask includes); None if it is still going after
+    ``_LEVELS`` steps.
+
+    Each step marks the targets of the frontier's rows, gathered by index
+    arithmetic; those not reached before are the next frontier.
     """
-    from scipy.sparse.csgraph import connected_components as _cc
+    reached = blocked.copy()
+    reached[seeds] = True
+    frontier = seeds
+    for _ in range(_LEVELS):
+        fresh = np.zeros_like(reached)
+        for offsets, targets in csrs:
+            starts = offsets[frontier]
+            counts = offsets[frontier + 1] - starts
+            # each gathered entry: its row's start plus its place in the row
+            shift = np.repeat(starts - np.cumsum(counts) + counts, counts)
+            fresh[targets[np.arange(len(shift)) + shift]] = True
+        fresh &= ~reached
+        reached |= fresh
+        frontier = np.flatnonzero(fresh)
+        if not frontier.size:
+            return reached
+    return None
 
+
+def _searched_classes(g: DirectedGraph):
+    """SCC, IN, OUT, TUBE and weak-body masks from numpy searches out of
+    the node with the largest ``k_out * k_in``; None when a search runs
+    past the step cap or that node's strong component may not be the
+    unique largest one.
+
+    Every other strong component lies inside the pivot's forward reach
+    less its core, inside its backward reach less its core, or outside
+    both, so a core larger than each of those three counts is the
+    largest.
+    """
     n = g.node_count
-    if n == 0:
-        zeros = {c: 0 for c in _CLASS_ORDER}
-        pcts = {c: 0.0 for c in _CLASS_ORDER}
-        return BowTiePartition(0, np.empty(0, dtype=np.uint8), zeros, pcts, 0.0)
+    fwd = (g.fwd_offsets, g.fwd_targets)
+    rev = (g.rev_offsets, g.rev_sources)
+    unblocked = np.zeros(n, dtype=bool)
+    # degrees from the offsets: the cached degree arrays would outlive the call
+    pivot = np.argmax(np.diff(g.fwd_offsets) * np.diff(g.rev_offsets), keepdims=True)
+    fwd_reach = _search([fwd], unblocked, pivot)
+    rev_reach = None if fwd_reach is None else _search([rev], unblocked, pivot)
+    if rev_reach is None:
+        return None
+    scc = fwd_reach & rev_reach
+    out_, in_ = fwd_reach & ~scc, rev_reach & ~scc
+    outside = n - np.count_nonzero(fwd_reach | rev_reach)
+    if np.count_nonzero(scc) <= max(np.count_nonzero(out_), np.count_nonzero(in_), outside):
+        return None
+
+    main = scc | in_ | out_
+    # paths from IN to OUT that never enter the core, which starts out reached
+    from_in = _search([fwd], scc, np.flatnonzero(in_))
+    to_out = None if from_in is None else _search([rev], scc, np.flatnonzero(out_))
+    weak = None if to_out is None else _search([fwd, rev], unblocked, np.flatnonzero(main))
+    return None if weak is None else (scc, in_, out_, from_in & to_out & ~main, weak)
+
+
+def _compiled_classes(g: DirectedGraph):
+    """The masks of :func:`_searched_classes` from compiled scipy
+    traversals, whose cost is linear in nodes plus edges whatever the
+    graph's depth."""
+    from scipy.sparse.csgraph import connected_components as _cc
 
     labels, comp_sizes = strongly_connected_components(g)
     # labels are numbered by first occurrence, so argmax's first largest
@@ -133,7 +195,7 @@ def bowtie_decompose(g: DirectedGraph) -> BowTiePartition:
 
     main = scc | in_ | out_
 
-    tube = np.zeros(n, dtype=bool)
+    tube = np.zeros(g.node_count, dtype=bool)
     in_nodes = np.flatnonzero(in_)
     out_nodes = np.flatnonzero(out_)
     if in_nodes.size and out_nodes.size:
@@ -148,10 +210,32 @@ def bowtie_decompose(g: DirectedGraph) -> BowTiePartition:
 
     _, weak_labels = _cc(_adjacency(g.fwd_offsets, g.fwd_targets), connection="weak")
     weak = weak_labels == weak_labels[scc_nodes[0]]
-    tendril = weak & ~main & ~tube
+    return scc, in_, out_, tube, weak
 
+
+def bowtie_decompose(g: DirectedGraph) -> BowTiePartition:
+    """Full six-class partition around the largest SCC.
+
+    The core is the largest strong component, ties broken by smallest
+    contained node id; on an edgeless graph that leaves the single node
+    with the smallest id as the core. An empty graph yields an all-empty
+    partition with zero percentages.
+
+    Capped numpy searches classify a shallow graph whose core is provably
+    the largest component; any other graph takes the compiled scipy
+    traversals, so scipy loads only then.
+    """
+    n = g.node_count
+    if n == 0:
+        zeros = {c: 0 for c in _CLASS_ORDER}
+        pcts = {c: 0.0 for c in _CLASS_ORDER}
+        return BowTiePartition(0, np.empty(0, dtype=np.uint8), zeros, pcts, 0.0)
+
+    scc, in_, out_, tube, weak = _searched_classes(g) or _compiled_classes(g)
+
+    # each class is painted over the last: TENDRIL is the weak body's rest
     class_of = np.full(n, _CLASS_CODE[BowTieClass.DISCONNECTED], dtype=np.uint8)
-    class_of[tendril] = _CLASS_CODE[BowTieClass.TENDRIL]
+    class_of[weak] = _CLASS_CODE[BowTieClass.TENDRIL]
     class_of[tube] = _CLASS_CODE[BowTieClass.TUBE]
     class_of[out_] = _CLASS_CODE[BowTieClass.OUT]
     class_of[in_] = _CLASS_CODE[BowTieClass.IN]

@@ -640,7 +640,9 @@ def run_ensemble(
 
             # fork, not spawn: a worker starts with the package imported.
             # This process has built no graph and loaded no scipy, so each
-            # worker's peak RSS, which counts its parent's, starts low.
+            # worker's peak RSS, which counts its parent's, starts low; a
+            # worker loads scipy only for a bow-tie the numpy searches
+            # cannot settle.
             context = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(processes, mp_context=context) as pool:
                 yield from pool.map(job, range(replicas))

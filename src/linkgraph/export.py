@@ -56,10 +56,16 @@ def _table(head: list[str], *columns, sep: str = ",") -> str:
     ``str`` of its value: a float's shortest round-trip repr, ``nan`` for
     NaN. Rows are built and joined one block at a time, so the table is
     never held as one string per row."""
+    spans = range(0, len(columns[0]), _BLOCK)
+    return _text(head, ([c[s : s + _BLOCK] for c in columns] for s in spans), sep)
+
+
+def _text(head: list[str], blocks, sep: str) -> str:
+    """:func:`_table` over blocks given as lists of column slices, none of
+    them empty."""
     parts = [f"{line}\n" for line in head]
-    for start in range(0, len(columns[0]), _BLOCK):
-        blocks = [c[start : start + _BLOCK] for c in columns]
-        cells = [map(str, b.tolist() if isinstance(b, np.ndarray) else b) for b in blocks]
+    for block in blocks:
+        cells = [map(str, b.tolist() if isinstance(b, np.ndarray) else b) for b in block]
         parts.append("\n".join(map(sep.join, zip(*cells))) + "\n")
     return "".join(parts)
 
@@ -125,13 +131,23 @@ def scatter_csv(rows: np.ndarray, g: DirectedGraph | UndirectedGraph) -> str:
 
 def edge_list_text(g: DirectedGraph | UndirectedGraph) -> str:
     """Edge list in the ingestable text format. Undirected graphs emit
-    each edge once as `u v` with u < v in dense ids."""
-    if isinstance(g, DirectedGraph):
-        u, v = g.fwd_rows, g.fwd_targets
-    else:
-        half = g.rows < g.targets
-        u, v = g.rows[half], g.targets[half]
-    return _table([], _node_ids(g, u), _node_ids(g, v), sep=" ")
+    each edge once as `u v` with u < v in dense ids. Each block finds its
+    rows with one search of the offsets and gathers only its own ids, so
+    no column as long as the edge list is made."""
+    directed = isinstance(g, DirectedGraph)
+    offsets, targets = (g.fwd_offsets, g.fwd_targets) if directed else (g.offsets, g.targets)
+
+    def blocks():
+        for start in range(0, len(targets), _BLOCK):
+            v = targets[start : start + _BLOCK]
+            u = np.searchsorted(offsets, np.arange(start, start + len(v)), side="right") - 1
+            if not directed:
+                half = u < v
+                u, v = u[half], v[half]
+            if len(u):
+                yield [_node_ids(g, u), _node_ids(g, v)]
+
+    return _text([], blocks(), " ")
 
 
 def bias_report_csv(report: BiasReport) -> str:

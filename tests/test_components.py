@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from linkgraph import BowTieClass, DirectedGraph, bowtie_decompose
+from linkgraph import BowTieClass, DirectedGraph, bowtie_decompose, components
 from linkgraph.components import strongly_connected_components
 
 import oracles
@@ -12,6 +12,34 @@ def classes_as_sets(part):
     return {c.value: set(part.nodes_in(c).tolist()) for c in BowTieClass}
 
 
+@pytest.fixture
+def taken(monkeypatch):
+    """The path that classified each non-empty graph, in call order:
+    "searches" for the numpy searches, "fallback" for the compiled one."""
+    runs = []
+    searched = components._searched_classes
+
+    def spy(g):
+        masks = searched(g)
+        runs.append("fallback" if masks is None else "searches")
+        return masks
+
+    monkeypatch.setattr(components, "_searched_classes", spy)
+    return runs
+
+
+@pytest.fixture(params=["searches", "fallback"])
+def paths(request, monkeypatch, taken):
+    """Each bow-tie as it runs, or through the compiled fallback alone,
+    forced by a zero step cap; returns the parameter."""
+    if request.param == "fallback":
+        monkeypatch.setattr(components, "_LEVELS", 0)
+    yield request.param
+    if request.param == "fallback":
+        assert set(taken) <= {"fallback"}
+
+
+@pytest.mark.usefixtures("paths")
 class TestToyFixture:
     def test_exact_partition(self, toy8):
         part = bowtie_decompose(toy8)
@@ -31,6 +59,7 @@ class TestToyFixture:
         assert d["main_pct"] == 62.5
 
 
+@pytest.mark.usefixtures("paths")
 class TestEdgeCases:
     def test_empty_graph(self, make_graph):
         part = bowtie_decompose(make_graph(0, []))
@@ -113,7 +142,7 @@ def test_oracle_agrees_on_toy8():
     assert got["DISCONNECTED"] == {7}
 
 
-def test_matches_bruteforce_on_random_graphs():
+def test_matches_bruteforce_on_random_graphs(paths, taken):
     rng = np.random.default_rng(42)
     for trial in range(30):
         n = int(rng.integers(1, 60))
@@ -123,6 +152,9 @@ def test_matches_bruteforce_on_random_graphs():
         got = classes_as_sets(part)
         want = oracles.bowtie_bruteforce(n, edges)
         assert got == want, f"trial {trial}: n={n} p={p:.3f}"
+    assert len(taken) == 30
+    if paths == "searches":
+        assert set(taken) == {"searches", "fallback"}
 
 
 def test_deterministic_across_runs(make_graph):
@@ -185,7 +217,7 @@ def test_deep_chain_bowtie_matches_planted_classes():
         assert np.array_equal(part.nodes_in(cls), np.flatnonzero(planted == cls.value))
 
 
-def test_tube_never_passes_through_core(make_graph):
+def test_tube_never_passes_through_core(make_graph, paths):
     # 3 -> core {0,1,2} -> 4 is the IN -> SCC -> OUT path; the true tube
     # 3 -> 5 -> 6 -> 4 runs beside it, and 7 only hangs off IN
     edges = [(0, 1), (1, 2), (2, 0), (3, 0), (2, 4), (4, 8),
@@ -199,3 +231,45 @@ def test_tube_never_passes_through_core(make_graph):
         "TENDRIL": {7},
         "DISCONNECTED": set(),
     }
+
+
+def test_equal_cores_fall_back_to_the_smallest_id(make_graph, taken):
+    # the pivot, node 3, sits in {3,4,5}; {0,1,2} is as large, so the
+    # searches cannot show their core is the largest
+    edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (4, 3)]
+    got = classes_as_sets(bowtie_decompose(make_graph(6, edges)))
+    assert got["SCC"] == {0, 1, 2}
+    assert got["DISCONNECTED"] == {3, 4, 5}
+    assert taken == ["fallback"]
+
+
+def test_deep_in_chain_falls_back(make_graph, taken):
+    # 0 -> 1 -> ... -> 300 -> 298: the core {298, 299, 300} is the largest,
+    # but IN is a chain 298 steps deep, past the search cap
+    edges = [(i, i + 1) for i in range(300)] + [(300, 298)]
+    got = classes_as_sets(bowtie_decompose(make_graph(301, edges)))
+    assert got["SCC"] == {298, 299, 300}
+    assert got["IN"] == set(range(298))
+    assert all(not got[c] for c in ("OUT", "TUBE", "TENDRIL", "DISCONNECTED"))
+    assert taken == ["fallback"]
+
+
+def test_shallow_majority_core_takes_the_searches(make_graph, taken, monkeypatch):
+    # core 0..5 with chords; IN 7 -> 6 -> 0; OUT 1 -> 8 -> 9; TUBE 7 -> 10 -> 9;
+    # a tendril 6 -> 11; 12 is disconnected
+    edges = [(i, (i + 1) % 6) for i in range(6)] + [(0, 3), (3, 0), (2, 5)]
+    edges += [(7, 6), (6, 0), (1, 8), (8, 9), (7, 10), (10, 9), (6, 11)]
+    g = make_graph(13, edges)
+    part = bowtie_decompose(g)
+    assert classes_as_sets(part) == {
+        "SCC": set(range(6)),
+        "IN": {6, 7},
+        "OUT": {8, 9},
+        "TUBE": {10},
+        "TENDRIL": {11},
+        "DISCONNECTED": {12},
+    }
+    assert classes_as_sets(part) == oracles.bowtie_bruteforce(13, edges)
+    monkeypatch.setattr(components, "_LEVELS", 0)
+    assert np.array_equal(bowtie_decompose(g).class_of, part.class_of)
+    assert taken == ["searches", "fallback"]

@@ -274,6 +274,14 @@ def test_columns_longer_than_one_block():
     )
 
 
+def test_undirected_blocks_without_a_lower_end_add_no_line():
+    # a star on node n - 1: the leaves' rows hold every u < v entry, and the
+    # hub's row fills whole blocks that keep none
+    leaves = 3 * export._BLOCK
+    g = undirected_view(graph_of(leaves + 1, [(leaves, v) for v in range(leaves)]))
+    assert export.edge_list_text(g) == "".join(f"{v} {leaves}\n" for v in range(leaves))
+
+
 def test_per_node_tables_peak_at_a_few_times_their_text():
     # one string per row, held until the final join, peaked at 4.5-5.8x
     rng = np.random.default_rng(3)
