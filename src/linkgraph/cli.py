@@ -61,7 +61,7 @@ from .errors import (
     UndefinedStatisticError,
     value_or_note,
 )
-from .graph import _MAX_NODES, build_from_edge_list, load_cache, save_cache, undirected_view
+from .graph import _MAX_NODES, build_from_edge_list, load_cache, save_cache
 from .reciprocity import (
     ReciprocalKnnVariant,
     avg_clustering_by_degree,
@@ -384,7 +384,7 @@ def cmd_corr(args, put) -> dict:
         put("corr_out_given_in.csv", export.profile_csv(profile))
     else:
         doc["out_given_in"] = {"note": note}
-    profile, note = value_or_note(knn_undirected, undirected_view(graph))
+    profile, note = value_or_note(knn_undirected, graph)
     if note is None:
         put("corr_knn_undirected.csv", export.profile_csv(profile))
     else:

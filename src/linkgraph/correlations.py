@@ -169,31 +169,53 @@ def _knn_sides(variant: enum.Enum, kind: type) -> tuple[str, str]:
     return averaged, conditioning
 
 
+def _neighbor_sums(rows: np.ndarray, targets: np.ndarray, qty: np.ndarray, n: int) -> np.ndarray:
+    """Per-node float64 sum of ``qty`` over the neighbors along the edges
+    ``rows[e] -> targets[e]``. Integer terms sum exactly in any order
+    while every sum stays below 2**53. The weights are gathered as
+    float64, which ``bincount`` reads without a copy."""
+    return np.bincount(rows, weights=np.asarray(qty, dtype=np.float64)[targets], minlength=n)
+
+
 def _neighbor_means(
     rows: np.ndarray, targets: np.ndarray, qty: np.ndarray, count: np.ndarray
 ) -> np.ndarray:
     """Per-node mean of ``qty`` over the neighbors along one CSR
     direction, the edges ``rows[e] -> targets[e]``; ``count`` is each
     node's neighbor count. NaN where a node has no neighbor."""
-    sums = np.bincount(rows, weights=qty[targets], minlength=len(count))
     with np.errstate(invalid="ignore"):
-        return sums / count
+        return _neighbor_sums(rows, targets, qty, len(count)) / count
 
 
-def knn_undirected(ug: UndirectedGraph) -> CorrelationProfile:
-    """Average neighbor degree per degree class of an undirected graph.
+def knn_undirected(graph: DirectedGraph | UndirectedGraph) -> CorrelationProfile:
+    """Average neighbor degree per degree class of an ``UndirectedGraph``,
+    or of the undirected projection of a ``DirectedGraph``, where a
+    node's neighbors are its in- and out-neighbors and a mutual pair is
+    one neighbor.
 
     Per-node value: mean degree over the node's neighbors. Normalized
     by kappa = <d^2>/<d>, the flat level of an uncorrelated graph.
     Degree-zero nodes are excluded (their neighbor average is
-    undefined).
+    undefined). A projection is read off the forward CSR and the
+    ``mutual`` mask, with no symmetric CSR built: a node's neighbor sum
+    is the out-neighbor sum over every forward edge plus the
+    in-neighbor sum over the one-way edges. The sums are of integers, so
+    the profile equals the one of the projection's ``UndirectedGraph``
+    bit for bit.
     """
-    deg = ug.degrees.astype(np.int64)
-    total = int(deg.sum())
-    if total == 0:
+    if graph.edge_count == 0:
         raise UndefinedStatisticError("neighbor profile of an edgeless graph")
-    kappa = exact_product_sum(deg, deg) / total
-    knn = _neighbor_means(ug.rows, ug.targets, deg, deg)
+    if isinstance(graph, UndirectedGraph):
+        deg = graph.degrees.astype(np.int64)
+        sums = _neighbor_sums(graph.rows, graph.targets, deg, len(deg))
+    else:
+        deg = graph.undirected_degrees
+        one_way = ~graph.mutual  # a mutual in-neighbor is already an out-neighbor
+        sums = _neighbor_sums(graph.fwd_rows, graph.fwd_targets, deg, len(deg))
+        sums += _neighbor_sums(graph.fwd_targets[one_way], graph.fwd_rows[one_way], deg, len(deg))
+    with np.errstate(invalid="ignore"):
+        knn = sums / deg
+    kappa = exact_product_sum(deg, deg) / int(deg.sum())
     return class_profile(deg, knn, deg > 0, kappa, "degree", "mean_neighbor_degree")
 
 

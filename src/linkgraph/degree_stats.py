@@ -107,12 +107,11 @@ def degree_histogram(g: DirectedGraph, direction: Direction) -> DegreeHistogram:
         return DegreeHistogram.from_values(g.in_degrees, direction)
     if direction is Direction.OUT:
         return DegreeHistogram.from_values(g.out_degrees, direction)
-    if direction not in (Direction.UNDIRECTED, Direction.RECIPROCAL):
-        raise ValueError(f"unknown direction {direction!r}")
-    q_r = np.bincount(g.fwd_rows[g.mutual], minlength=g.node_count)  # mutual out-edges
     if direction is Direction.UNDIRECTED:
-        return DegreeHistogram.from_values(g.in_degrees + g.out_degrees - q_r, direction)
-    return DegreeHistogram.from_values(q_r, direction)
+        return DegreeHistogram.from_values(g.undirected_degrees, direction)
+    if direction is Direction.RECIPROCAL:
+        return DegreeHistogram.from_values(g.mutual_degrees, direction)
+    raise ValueError(f"unknown direction {direction!r}")
 
 
 def cumulative(h: DegreeHistogram) -> CumulativeCurve:

@@ -148,6 +148,17 @@ class DirectedGraph:
         rev_keys += self.rev_sources
         return _frozen(_in_sorted(rev_keys, keys))
 
+    @cached_property
+    def mutual_degrees(self) -> np.ndarray:
+        """q_r, each node's mutual partners: its out-edges in ``mutual``."""
+        return _frozen(np.bincount(self.fwd_rows[self.mutual], minlength=self.node_count))
+
+    @cached_property
+    def undirected_degrees(self) -> np.ndarray:
+        """Each node's neighbors in the undirected projection, k_in + k_out
+        - q_r: a mutual pair is one neighbor."""
+        return _frozen(self.in_degrees + self.out_degrees - self.mutual_degrees)
+
     def __reduce__(self):
         # pickled as the CSR only and loaded through the constructor: checked,
         # read-only, and without the derived arrays, which are rebuilt on use

@@ -10,7 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from linkgraph import GenerationError, cli, crawl_sim, save_cache
+from linkgraph import (
+    GenerationError,
+    build_from_edge_list,
+    cli,
+    crawl_sim,
+    export,
+    knn_undirected,
+    save_cache,
+    undirected_view,
+)
 from linkgraph.cli import main
 
 from conftest import TOY8_EDGES, TOY8_N, cache_targets_at, graph_of, reseal, v1_cache
@@ -311,6 +320,21 @@ class TestCorrAndRecip:
         assert doc["crossed_one_point"]["value"] == pytest.approx(0.75)
         for variant in ("in_nn_of_in", "out_nn_of_in", "in_nn_of_out", "out_nn_of_out"):
             assert (out_dir / f"corr_knn_{variant}.csv").exists()
+
+    def test_corr_undirected_knn_equals_the_view_path(self, tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        ids = rng.choice(2**40, size=40, replace=False)
+        src, dst = ids[rng.integers(0, 40, (2, 150))]
+        lines = [f"{u} {v}\n" for u, v in zip(src, dst)]
+        lines += [f"{v} {u}\n" for u, v in zip(src[:50], dst[:50])]  # mutual pairs
+        edges = tmp_path / "sparse.txt"
+        edges.write_text("".join(lines))
+        out_dir = tmp_path / "corr"
+        code, _, _ = run(["corr", "--input", str(edges), "--out", str(out_dir)], capsys)
+        assert code == 0
+        g, _ = build_from_edge_list(edges)
+        want = export.profile_csv(knn_undirected(undirected_view(g)))
+        assert (out_dir / "corr_knn_undirected.csv").read_text() == want
 
     def test_recip_outputs(self, tmp_path, capsys):
         src = tmp_path / "m.txt"

@@ -1,7 +1,11 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from linkgraph import (
+    DirectedGraph,
     KnnVariant,
     UndefinedStatisticError,
     avg_out_given_in,
@@ -209,6 +213,82 @@ class TestKnnUndirected:
     def test_edgeless_raises(self):
         with pytest.raises(UndefinedStatisticError):
             knn_undirected(undirected_view(graph_of(3, [])))
+
+
+def digraphs_with_mutual_pairs(seed=23, count=30):
+    """Random digraphs where some edges get their reverse and up to three
+    nodes have no edge, with sparse 40-bit ids on every other one."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(2, 60))
+        linked = n - int(rng.integers(0, 4)) if n > 4 else n
+        m = int(rng.integers(1, 4 * n))
+        src, dst = rng.integers(0, linked, (2, m))
+        back = rng.random(m) < rng.uniform(0, 0.8)
+        src, dst = np.concatenate([src, dst[back]]), np.concatenate([dst, src[back]])
+        ids = np.sort(rng.choice(2**40, size=n, replace=False)) if i % 2 else None
+        yield DirectedGraph.from_edges(n, src, dst, ids)
+
+
+class TestKnnUndirectedOfDirected:
+    """A directed input is read as its undirected projection without
+    building it: the profile equals the one of ``undirected_view``."""
+
+    def test_every_field_equals_the_view_path(self):
+        seen_mutual = seen_isolated = 0
+        for g in digraphs_with_mutual_pairs():
+            if g.edge_count == 0:
+                continue
+            seen_mutual += bool(g.mutual.any())
+            seen_isolated += bool(np.any(g.undirected_degrees == 0))
+            got = dataclasses.asdict(knn_undirected(g))
+            want = dataclasses.asdict(knn_undirected(undirected_view(g)))
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                if isinstance(value, np.ndarray):
+                    assert got[key].dtype == value.dtype, key
+                    assert np.array_equal(got[key], value, equal_nan=True), key
+                else:
+                    assert got[key] == value, key
+        assert seen_mutual > 10 and seen_isolated > 5
+
+    def test_matches_bruteforce_with_mutual_pairs_counted_once(self):
+        # 0 <-> 1 is one neighbor each way, 0 -> 2 another
+        g = graph_of(4, [(0, 1), (1, 0), (0, 2)])
+        p = knn_undirected(g)
+        want, kappa = oracles.knn_undirected_bruteforce(4, [(0, 1), (0, 2)])
+        assert profile_as_dict(p) == want
+        assert p.normalization == kappa == 1.5
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_edgeless_raises_as_the_view_path(self, n):
+        g = DirectedGraph.from_edges(n, [], [])
+        messages = []
+        for graph in (g, undirected_view(g)):
+            with pytest.raises(UndefinedStatisticError) as info:
+                knn_undirected(graph)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    def test_peaks_below_half_of_the_view_path(self):
+        # the view sorts 2m keys into a symmetric CSR that is read once
+        rng = np.random.default_rng(11)
+        n, m = 100_000, 450_000
+        src, dst = rng.integers(0, n, (2, m))
+        back = rng.random(m) < 0.25
+        g = DirectedGraph.from_edges(
+            n, np.concatenate([src, dst[back]]), np.concatenate([dst, src[back]])
+        )
+        g.mutual  # built by any earlier reciprocal statistic
+        peaks = []
+        for run in (lambda: knn_undirected(g), lambda: knn_undirected(undirected_view(g))):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < peaks[1] / 2, peaks
 
 
 class TestDirectedKnn:
