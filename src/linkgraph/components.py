@@ -104,30 +104,34 @@ def _reach_mask(offsets: np.ndarray, targets: np.ndarray, seeds: np.ndarray) -> 
     return reached[:n]
 
 
-# Steps a numpy frontier search takes before it gives way to the compiled
-# traversals. A step is a few passes over n booleans plus the frontier's
-# rows, so a search costs at most 64 such passes plus its edges, whatever
-# the graph's depth. Web-like graphs with a majority core finish in a few
-# dozen steps (at most 27 on the benchmark's graphs), while a deep graph
-# gives way after milliseconds.
+# Steps a numpy frontier search takes before it gives way. A step is a
+# few passes over n booleans plus the frontier's rows, so a search costs
+# at most 64 such passes plus its edges, whatever the graph's depth.
+# Web-like graphs with a majority core finish in a few dozen steps (at
+# most 27 on the benchmark's graphs); a deep graph gives way after
+# milliseconds and is classified again with the compiled kernel.
 _LEVELS = 64
 
 
-def _search(csrs, blocked: np.ndarray, seeds: np.ndarray) -> np.ndarray | None:
-    """Mask of the nodes ``seeds`` reach along the rows of every CSR in
-    ``csrs``, seeds included, never passing through a node of ``blocked``
-    (which the mask includes); None if it is still going after
-    ``_LEVELS`` steps.
+class _TooDeep(Exception):
+    """A numpy search is still going after ``_LEVELS`` steps."""
 
-    Each step marks the targets of the frontier's rows, gathered by index
-    arithmetic; those not reached before are the next frontier.
+
+def _search(g: DirectedGraph, way: str, blocked, seeds: np.ndarray) -> np.ndarray:
+    """Mask of the nodes ``seeds`` reach along ``way`` ("out", "in" or
+    "both" directions), seeds included, never passing through a node of
+    the mask ``blocked`` (None blocks none), whose nodes it includes.
+    Raises :class:`_TooDeep` after ``_LEVELS`` steps. Each step marks the
+    targets of the frontier's rows, gathered by index arithmetic; those
+    not reached before are the next frontier.
     """
-    reached = blocked.copy()
+    fwd, rev = (g.fwd_offsets, g.fwd_targets), (g.rev_offsets, g.rev_sources)
+    reached = np.zeros(g.node_count, dtype=bool) if blocked is None else blocked.copy()
     reached[seeds] = True
     frontier = seeds
     for _ in range(_LEVELS):
         fresh = np.zeros_like(reached)
-        for offsets, targets in csrs:
+        for offsets, targets in {"out": [fwd], "in": [rev], "both": [fwd, rev]}[way]:
             starts = offsets[frontier]
             counts = offsets[frontier + 1] - starts
             # each gathered entry: its row's start plus its place in the row
@@ -138,79 +142,57 @@ def _search(csrs, blocked: np.ndarray, seeds: np.ndarray) -> np.ndarray | None:
         frontier = np.flatnonzero(fresh)
         if not frontier.size:
             return reached
-    return None
+    raise _TooDeep
 
 
-def _searched_classes(g: DirectedGraph):
-    """SCC, IN, OUT, TUBE and weak-body masks from numpy searches out of
-    the node with the largest ``k_out * k_in``; None when a search runs
-    past the step cap or that node's strong component may not be the
-    unique largest one.
+def _compiled_search(g: DirectedGraph, way: str, blocked, seeds: np.ndarray) -> np.ndarray:
+    """:func:`_search` by one compiled scipy traversal, at any depth. Over
+    "both" directions it blocks nothing: the first seed's weak component."""
+    if way == "both":
+        from scipy.sparse.csgraph import connected_components as _cc
 
-    Every other strong component lies inside the pivot's forward reach
-    less its core, inside its backward reach less its core, or outside
-    both, so a core larger than each of those three counts is the
-    largest.
+        _, labels = _cc(_adjacency(g.fwd_offsets, g.fwd_targets), connection="weak")
+        return labels == labels[seeds[0]]
+    fwd, rev = (g.fwd_offsets, g.fwd_targets), (g.rev_offsets, g.rev_sources)
+    offsets, targets = fwd if way == "out" else rev
+    if blocked is not None:  # cutting the CSR copies it, so only when a node is blocked
+        return _reach_mask(*_filter_csr(offsets, targets, ~blocked[targets]), seeds) | blocked
+    return _reach_mask(offsets, targets, seeds)
+
+
+def _classes(g: DirectedGraph, search):
+    """SCC, IN, OUT, TUBE and weak-body masks, every reach taken by
+    ``search``: :func:`_search` or :func:`_compiled_search`.
+
+    The reaches start from the node with the largest ``k_out * k_in``.
+    Every other strong component lies inside its forward reach less its
+    core, inside its backward reach less its core, or outside both, so a
+    core larger than each of those three counts is the largest. Else one
+    strong-component pass names the largest, and the reaches are taken
+    again from it when the pivot lies outside it.
     """
-    n = g.node_count
-    fwd = (g.fwd_offsets, g.fwd_targets)
-    rev = (g.rev_offsets, g.rev_sources)
-    unblocked = np.zeros(n, dtype=bool)
     # degrees from the offsets: the cached degree arrays would outlive the call
-    pivot = np.argmax(np.diff(g.fwd_offsets) * np.diff(g.rev_offsets), keepdims=True)
-    fwd_reach = _search([fwd], unblocked, pivot)
-    rev_reach = None if fwd_reach is None else _search([rev], unblocked, pivot)
-    if rev_reach is None:
-        return None
+    seeds = np.argmax(np.diff(g.fwd_offsets) * np.diff(g.rev_offsets), keepdims=True)
+    fwd_reach, rev_reach = search(g, "out", None, seeds), search(g, "in", None, seeds)
     scc = fwd_reach & rev_reach
     out_, in_ = fwd_reach & ~scc, rev_reach & ~scc
-    outside = n - np.count_nonzero(fwd_reach | rev_reach)
+    outside = g.node_count - np.count_nonzero(fwd_reach | rev_reach)
     if np.count_nonzero(scc) <= max(np.count_nonzero(out_), np.count_nonzero(in_), outside):
-        return None
-
+        labels, comp_sizes = strongly_connected_components(g)
+        # labels are numbered by first occurrence, so argmax's first largest
+        # label is the tied component containing the smallest node id
+        core = labels == np.argmax(comp_sizes)
+        if not core[seeds[0]]:
+            scc, seeds = core, np.flatnonzero(core)
+            fwd_reach, rev_reach = search(g, "out", None, seeds), search(g, "in", None, seeds)
+            out_, in_ = fwd_reach & ~scc, rev_reach & ~scc
     main = scc | in_ | out_
-    # paths from IN to OUT that never enter the core, which starts out reached
-    from_in = _search([fwd], scc, np.flatnonzero(in_))
-    to_out = None if from_in is None else _search([rev], scc, np.flatnonzero(out_))
-    weak = None if to_out is None else _search([fwd, rev], unblocked, np.flatnonzero(main))
-    return None if weak is None else (scc, in_, out_, from_in & to_out & ~main, weak)
-
-
-def _compiled_classes(g: DirectedGraph):
-    """The masks of :func:`_searched_classes` from compiled scipy
-    traversals, whose cost is linear in nodes plus edges whatever the
-    graph's depth."""
-    from scipy.sparse.csgraph import connected_components as _cc
-
-    labels, comp_sizes = strongly_connected_components(g)
-    # labels are numbered by first occurrence, so argmax's first largest
-    # label is the tied component containing the smallest node id
-    scc = labels == np.argmax(comp_sizes)
-
-    scc_nodes = np.flatnonzero(scc)
-    fwd_reach = _reach_mask(g.fwd_offsets, g.fwd_targets, scc_nodes)
-    rev_reach = _reach_mask(g.rev_offsets, g.rev_sources, scc_nodes)
-    out_ = fwd_reach & ~scc
-    in_ = rev_reach & ~scc
-
-    main = scc | in_ | out_
-
-    tube = np.zeros(g.node_count, dtype=bool)
-    in_nodes = np.flatnonzero(in_)
-    out_nodes = np.flatnonzero(out_)
-    if in_nodes.size and out_nodes.size:
-        # paths that never enter the core
-        from_in = _reach_mask(
-            *_filter_csr(g.fwd_offsets, g.fwd_targets, ~scc[g.fwd_targets]), in_nodes
-        )
-        to_out = _reach_mask(
-            *_filter_csr(g.rev_offsets, g.rev_sources, ~scc[g.rev_sources]), out_nodes
-        )
-        tube = from_in & to_out & ~main
-
-    _, weak_labels = _cc(_adjacency(g.fwd_offsets, g.fwd_targets), connection="weak")
-    weak = weak_labels == weak_labels[scc_nodes[0]]
-    return scc, in_, out_, tube, weak
+    tube = np.zeros_like(main)
+    if in_.any() and out_.any():
+        # paths from IN to OUT that never enter the core
+        from_in = search(g, "out", scc, np.flatnonzero(in_))
+        tube = from_in & search(g, "in", scc, np.flatnonzero(out_)) & ~main
+    return scc, in_, out_, tube, search(g, "both", None, np.flatnonzero(main))
 
 
 def bowtie_decompose(g: DirectedGraph) -> BowTiePartition:
@@ -221,9 +203,8 @@ def bowtie_decompose(g: DirectedGraph) -> BowTiePartition:
     with the smallest id as the core. An empty graph yields an all-empty
     partition with zero percentages.
 
-    Capped numpy searches classify a shallow graph whose core is provably
-    the largest component; any other graph takes the compiled scipy
-    traversals, so scipy loads only then.
+    The classifier runs on capped numpy searches, and again on compiled
+    scipy traversals when a search gives way.
     """
     n = g.node_count
     if n == 0:
@@ -231,7 +212,11 @@ def bowtie_decompose(g: DirectedGraph) -> BowTiePartition:
         pcts = {c: 0.0 for c in _CLASS_ORDER}
         return BowTiePartition(0, np.empty(0, dtype=np.uint8), zeros, pcts, 0.0)
 
-    scc, in_, out_, tube, weak = _searched_classes(g) or _compiled_classes(g)
+    try:
+        masks = _classes(g, _search)
+    except _TooDeep:  # rerun past the clause, whose traceback holds the first run's arrays
+        masks = None
+    scc, in_, out_, tube, weak = masks or _classes(g, _compiled_search)
 
     # each class is painted over the last: TENDRIL is the weak body's rest
     class_of = np.full(n, _CLASS_CODE[BowTieClass.DISCONNECTED], dtype=np.uint8)

@@ -17,7 +17,8 @@ def reachability(n, edges):
     for u, v in edges:
         r[u, v] = True
     while True:
-        step = r | ((r.astype(np.uint8) @ r.astype(np.uint8)) > 0)
+        # path counts in float64 stay exact to 2**53; a narrow integer type wraps
+        step = r | ((r.astype(np.float64) @ r.astype(np.float64)) > 0)
         if (step == r).all():
             return r
         r = step

@@ -12,19 +12,29 @@ def classes_as_sets(part):
     return {c.value: set(part.nodes_in(c).tolist()) for c in BowTieClass}
 
 
+def spied(fn, name, calls):
+    """``fn``, appending ``name`` to ``calls`` on every call."""
+
+    def spy(*args):
+        calls.append(name)
+        return fn(*args)
+
+    return spy
+
+
 @pytest.fixture
 def taken(monkeypatch):
-    """The path that classified each non-empty graph, in call order:
+    """The kernel that classified each non-empty graph, in call order:
     "searches" for the numpy searches, "fallback" for the compiled one."""
     runs = []
-    searched = components._searched_classes
+    classes = components._classes
 
-    def spy(g):
-        masks = searched(g)
-        runs.append("fallback" if masks is None else "searches")
+    def spy(g, search):
+        masks = classes(g, search)
+        runs.append("fallback" if search is components._compiled_search else "searches")
         return masks
 
-    monkeypatch.setattr(components, "_searched_classes", spy)
+    monkeypatch.setattr(components, "_classes", spy)
     return runs
 
 
@@ -142,7 +152,17 @@ def test_oracle_agrees_on_toy8():
     assert got["DISCONNECTED"] == {7}
 
 
-def test_matches_bruteforce_on_random_graphs(paths, taken):
+def test_oracle_reaches_along_256_paths():
+    # 0 -> k -> 257 for 256 middle nodes k: a count of paths that wraps in uint8
+    edges = [(0, k) for k in range(1, 257)] + [(k, 257) for k in range(1, 257)]
+    assert oracles.bowtie_bruteforce(258, edges)["OUT"] == set(range(1, 258))
+
+
+def test_matches_bruteforce_on_random_graphs(paths, taken, monkeypatch):
+    if paths == "searches":
+        # no graph this small runs 64 steps deep; at 6, some of them give
+        # way at each stage of the classifier
+        monkeypatch.setattr(components, "_LEVELS", 6)
     rng = np.random.default_rng(42)
     for trial in range(30):
         n = int(rng.integers(1, 60))
@@ -233,14 +253,19 @@ def test_tube_never_passes_through_core(make_graph, paths):
     }
 
 
-def test_equal_cores_fall_back_to_the_smallest_id(make_graph, taken):
+def test_equal_cores_fall_back_to_the_smallest_id(make_graph, taken, monkeypatch):
     # the pivot, node 3, sits in {3,4,5}; {0,1,2} is as large, so the
-    # searches cannot show their core is the largest
+    # searches cannot show their core is the largest: one strong-component
+    # pass names {0,1,2}, and the numpy searches take its reaches
+    calls = []
+    for name in ("strongly_connected_components", "_reach_mask"):
+        monkeypatch.setattr(components, name, spied(getattr(components, name), name, calls))
     edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (4, 3)]
     got = classes_as_sets(bowtie_decompose(make_graph(6, edges)))
     assert got["SCC"] == {0, 1, 2}
     assert got["DISCONNECTED"] == {3, 4, 5}
-    assert taken == ["fallback"]
+    assert taken == ["searches"]
+    assert calls == ["strongly_connected_components"]
 
 
 def test_deep_in_chain_falls_back(make_graph, taken):
@@ -273,3 +298,77 @@ def test_shallow_majority_core_takes_the_searches(make_graph, taken, monkeypatch
     monkeypatch.setattr(components, "_LEVELS", 0)
     assert np.array_equal(bowtie_decompose(g).class_of, part.class_of)
     assert taken == ["searches", "fallback"]
+
+
+def test_tendril_past_the_cap_gives_way_part_way(make_graph, taken, monkeypatch):
+    # a star core of 400 around hub 0; IN 400, OUT 401, TUBE 400 -> 402 -> 401;
+    # a 300-node TENDRIL off IN whose edges alternate direction, so only the
+    # weak-body search walks it, one node a step; 703 is disconnected
+    edges = [(0, i) for i in range(1, 400)] + [(i, 0) for i in range(1, 400)]
+    edges += [(400, 0), (0, 401), (400, 402), (402, 401), (400, 403)]
+    edges += [(i + 1, i) if i % 2 else (i, i + 1) for i in range(403, 702)]
+    ways = []
+    search = components._search
+
+    def spy(g, way, blocked, seeds):
+        ways.append(way)
+        return search(g, way, blocked, seeds)
+
+    monkeypatch.setattr(components, "_search", spy)
+    got = classes_as_sets(bowtie_decompose(make_graph(704, edges)))
+    assert ways == ["out", "in", "out", "in", "both"]
+    assert taken == ["fallback"]
+    assert got == {
+        "SCC": set(range(400)),
+        "IN": {400},
+        "OUT": {401},
+        "TUBE": {402},
+        "TENDRIL": set(range(403, 703)),
+        "DISCONNECTED": {703},
+    }
+    assert got == oracles.bowtie_bruteforce(704, edges)
+
+
+def kernel_cases(seed, trials):
+    """Seeded small digraphs: random ones (with isolated nodes), two equal
+    cycles (a tied core), and a cycle with only OUT or only IN around it."""
+    rng = np.random.default_rng(seed)
+    for trial in range(trials):
+        n = int(rng.integers(1, 40))
+        edges = oracles.random_digraph(rng, n, float(rng.uniform(0.0, 0.12)))
+        kind = trial % 4
+        if kind == 1 and n >= 6:
+            # two 3-cycles tie for the core unless the rest holds a larger one
+            edges = [(u, v) for u, v in edges if min(u, v) >= 6]
+            edges += [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
+        elif kind >= 2 and n >= 3:
+            # edges only run up in id from the cycle {0,1,2}: no IN, or no OUT
+            edges = [(min(u, v), max(u, v)) for u, v in edges if min(u, v) >= 2]
+            edges = sorted(set(edges + [(0, 1), (1, 2), (2, 0)]))
+            if kind == 3:
+                edges = [(v, u) for u, v in edges]
+        yield n, edges
+
+
+def test_kernels_agree():
+    rng = np.random.default_rng(12)
+    for n, edges in kernel_cases(seed=11, trials=80):
+        g = graph_of(n, edges)
+        labels, sizes = strongly_connected_components(g)
+        core = labels == np.argmax(sizes)
+        weak = oracles.reachability(n, edges + [(v, u) for u, v in edges])
+        for way in ("out", "in", "both"):
+            for blocked in (None, core) if way != "both" else (None,):
+                pool = np.arange(n) if blocked is None else np.flatnonzero(~core)
+                if way == "both":
+                    # the classifier seeds the weak body inside one component
+                    pool = np.flatnonzero(weak[rng.integers(n)])
+                size = int(rng.integers(way == "both", pool.size + 1))
+                seeds = np.sort(rng.choice(pool, size, replace=False))
+                assert np.array_equal(
+                    components._search(g, way, blocked, seeds),
+                    components._compiled_search(g, way, blocked, seeds),
+                ), (n, edges, way, blocked, seeds)
+        masks = components._classes(g, components._search)
+        for got, want in zip(masks, components._classes(g, components._compiled_search)):
+            assert np.array_equal(got, want), (n, edges)
