@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DirectedGraph, _filter_csr
+from .graph import DirectedGraph
 
 
 class BowTieClass(enum.Enum):
@@ -146,18 +146,17 @@ def _search(g: DirectedGraph, way: str, blocked, seeds: np.ndarray) -> np.ndarra
 
 
 def _compiled_search(g: DirectedGraph, way: str, blocked, seeds: np.ndarray) -> np.ndarray:
-    """:func:`_search` by one compiled scipy traversal, at any depth. Over
-    "both" directions it blocks nothing: the first seed's weak component."""
+    """:func:`_search` by one compiled scipy traversal, at any depth, that
+    walks through ``blocked``: equal when nothing else is reached only
+    through it. Over "both" directions: the first seed's weak component."""
     if way == "both":
         from scipy.sparse.csgraph import connected_components as _cc
 
         _, labels = _cc(_adjacency(g.fwd_offsets, g.fwd_targets), connection="weak")
         return labels == labels[seeds[0]]
     fwd, rev = (g.fwd_offsets, g.fwd_targets), (g.rev_offsets, g.rev_sources)
-    offsets, targets = fwd if way == "out" else rev
-    if blocked is not None:  # cutting the CSR copies it, so only when a node is blocked
-        return _reach_mask(*_filter_csr(offsets, targets, ~blocked[targets]), seeds) | blocked
-    return _reach_mask(offsets, targets, seeds)
+    reached = _reach_mask(*(fwd if way == "out" else rev), seeds)
+    return reached if blocked is None else reached | blocked
 
 
 def _classes(g: DirectedGraph, search):
@@ -189,9 +188,10 @@ def _classes(g: DirectedGraph, search):
     main = scc | in_ | out_
     tube = np.zeros_like(main)
     if in_.any() and out_.any():
-        # paths from IN to OUT that never enter the core
-        from_in = search(g, "out", scc, np.flatnonzero(in_))
-        tube = from_in & search(g, "in", scc, np.flatnonzero(out_)) & ~main
+        # paths from IN to OUT that never enter the core; blocking all of main
+        # is the same: past the core or OUT a path stays in OUT; IN are seeds
+        from_in = search(g, "out", main, np.flatnonzero(in_))
+        tube = from_in & search(g, "in", main, np.flatnonzero(out_)) & ~main
     return scc, in_, out_, tube, search(g, "both", None, np.flatnonzero(main))
 
 

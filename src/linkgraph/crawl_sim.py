@@ -37,7 +37,7 @@ from .degree_stats import (
     summarize,
 )
 from .errors import GenerationError, ProvenanceError, value_or_note
-from .graph import DirectedGraph, _restrict, sorted_unique
+from .graph import DirectedGraph, _csr_from_edges, _restrict, sorted_unique
 from .reciprocity import decompose
 
 # -- degree laws --------------------------------------------------------
@@ -227,7 +227,7 @@ def _wire(
     du, dv, self_d = _match_directed(rng, qin, qout)
     n = len(qr)
     u, v = np.concatenate([lo, hi, du]), np.concatenate([hi, lo, dv])
-    graph = DirectedGraph.from_edges(n, u, v)
+    graph = DirectedGraph(n, *_csr_from_edges(n, u, v))
     realized = np.count_nonzero(graph.mutual) / graph.edge_count if graph.edge_count else None
     return graph, GenerationReport(
         node_count=n,

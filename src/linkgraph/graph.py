@@ -88,11 +88,9 @@ class DirectedGraph:
         dst: np.ndarray,
         original_ids: np.ndarray | None = None,
     ) -> "DirectedGraph":
-        """Build a graph from dense-id edge arrays; self-loops and
-        duplicate edges are dropped."""
+        """Build a graph from dense-id edge arrays given from outside: ids
+        are range-checked, self-loops and duplicate edges are dropped."""
         n = int(node_count)
-        if n > _MAX_NODES:
-            raise ValueError(f"node count {n} exceeds supported maximum {_MAX_NODES}")
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         if src.size:
@@ -101,8 +99,7 @@ class DirectedGraph:
             if lo < 0 or hi >= n:
                 raise ValueError("edge endpoint outside 0..node_count-1")
         keep = src != dst
-        fwd_off, fwd_tgt = _csr_from_edges(n, src[keep], dst[keep])
-        return cls(n, fwd_off, fwd_tgt, original_ids)
+        return cls(n, *_csr_from_edges(n, src[keep], dst[keep]), original_ids)
 
     # -- basic accessors ----------------------------------------------
 
@@ -291,8 +288,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def _csr_from_edges(n: int, src: np.ndarray, dst: np.ndarray):
     """Sorted CSR (offsets, targets) of the distinct edges given by
-    parallel arrays: one sort of the ``src*n+dst`` keys orders the rows
-    and drops duplicates."""
+    parallel arrays of ids in ``0..n-1``, none a self-loop: one sort of
+    the ``src*n+dst`` keys orders the rows and drops duplicates."""
+    if n > _MAX_NODES:
+        raise ValueError(f"node count {n} exceeds supported maximum {_MAX_NODES}")
     if src.size == 0:
         return np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int32)
     keys = sorted_unique(np.asarray(src, dtype=np.int64) * n + dst)
@@ -371,7 +370,7 @@ def build_from_edge_list(source: EdgeListSource) -> tuple[DirectedGraph, IngestR
     original_ids = None
     if n and (uniq[0] != 0 or uniq[-1] != n - 1):
         original_ids = uniq
-    graph = DirectedGraph.from_edges(n, dense[:m], dense[m:], original_ids)
+    graph = DirectedGraph(n, *_csr_from_edges(n, dense[:m], dense[m:]), original_ids)
     report = IngestReport(
         raw_lines=raw,
         skipped_lines=raw - total,

@@ -354,21 +354,23 @@ def test_kernels_agree():
     rng = np.random.default_rng(12)
     for n, edges in kernel_cases(seed=11, trials=80):
         g = graph_of(n, edges)
-        labels, sizes = strongly_connected_components(g)
-        core = labels == np.argmax(sizes)
+        want = oracles.bowtie_bruteforce(n, edges)
+        in_, out_, scc = (np.isin(np.arange(n), list(want[c])) for c in ("IN", "OUT", "SCC"))
         weak = oracles.reachability(n, edges + [(v, u) for u, v in edges])
+        # the classifier blocks only in its TUBE searches: the main body,
+        # from all of IN forward and from all of OUT backward
+        main = scc | in_ | out_
+        cases = [("out", main, np.flatnonzero(in_)), ("in", main, np.flatnonzero(out_))]
         for way in ("out", "in", "both"):
-            for blocked in (None, core) if way != "both" else (None,):
-                pool = np.arange(n) if blocked is None else np.flatnonzero(~core)
-                if way == "both":
-                    # the classifier seeds the weak body inside one component
-                    pool = np.flatnonzero(weak[rng.integers(n)])
-                size = int(rng.integers(way == "both", pool.size + 1))
-                seeds = np.sort(rng.choice(pool, size, replace=False))
-                assert np.array_equal(
-                    components._search(g, way, blocked, seeds),
-                    components._compiled_search(g, way, blocked, seeds),
-                ), (n, edges, way, blocked, seeds)
+            # the classifier seeds the weak body inside one component
+            pool = np.flatnonzero(weak[rng.integers(n)]) if way == "both" else np.arange(n)
+            size = int(rng.integers(way == "both", pool.size + 1))
+            cases.append((way, None, np.sort(rng.choice(pool, size, replace=False))))
+        for way, blocked, seeds in cases:
+            assert np.array_equal(
+                components._search(g, way, blocked, seeds),
+                components._compiled_search(g, way, blocked, seeds),
+            ), (n, edges, way, blocked, seeds)
         masks = components._classes(g, components._search)
         for got, want in zip(masks, components._classes(g, components._compiled_search)):
             assert np.array_equal(got, want), (n, edges)
