@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedStatisticError
-from .graph import DirectedGraph, UndirectedGraph, exact_product_sum
+from .graph import DirectedGraph, UndirectedGraph, _local_rows, _row_blocks, exact_product_sum
 
 
 @dataclass(frozen=True)
@@ -169,22 +169,50 @@ def _knn_sides(variant: enum.Enum, kind: type) -> tuple[str, str]:
     return averaged, conditioning
 
 
-def _neighbor_sums(rows: np.ndarray, targets: np.ndarray, qty: np.ndarray, n: int) -> np.ndarray:
+def _neighbor_sums(
+    offsets: np.ndarray,
+    targets: np.ndarray,
+    qty: np.ndarray,
+    transpose: bool = False,
+    skip: np.ndarray | None = None,
+) -> np.ndarray:
     """Per-node float64 sum of ``qty`` over the neighbors along the edges
-    ``rows[e] -> targets[e]``. Integer terms sum exactly in any order
-    while every sum stays below 2**53. The weights are gathered as
-    float64, which ``bincount`` reads without a copy."""
-    return np.bincount(rows, weights=np.asarray(qty, dtype=np.float64)[targets], minlength=n)
+    u -> v of the CSR ``(offsets, targets)``: at u of qty[v], or, with
+    ``transpose``, at v of qty[u]; the entries where the mask ``skip`` is
+    set are left out. Summed one row block at a time, each transposed
+    block into an array of n; integer terms sum exactly in any order
+    while every sum stays below 2**53."""
+    n = len(offsets) - 1
+    qty = np.asarray(qty, dtype=np.float64)
+    sums = np.zeros(n)
+    for lo, hi in _row_blocks(offsets, n if transpose else 0):
+        heads = targets[offsets[lo] : offsets[hi]]
+        if transpose:  # each row's own quantity, once per entry
+            tails = np.repeat(qty[lo:hi], np.diff(offsets[lo : hi + 1]))
+        else:
+            tails = _local_rows(offsets, lo, hi)
+        if skip is not None:
+            keep = ~skip[offsets[lo] : offsets[hi]]
+            heads, tails = heads[keep], tails[keep]
+        if transpose:
+            sums += np.bincount(heads, weights=tails, minlength=n)
+        else:
+            sums[lo:hi] = np.bincount(tails, weights=qty[heads], minlength=hi - lo)
+    return sums
 
 
 def _neighbor_means(
-    rows: np.ndarray, targets: np.ndarray, qty: np.ndarray, count: np.ndarray
+    offsets: np.ndarray,
+    targets: np.ndarray,
+    qty: np.ndarray,
+    count: np.ndarray,
+    transpose: bool = False,
 ) -> np.ndarray:
-    """Per-node mean of ``qty`` over the neighbors along one CSR
-    direction, the edges ``rows[e] -> targets[e]``; ``count`` is each
-    node's neighbor count. NaN where a node has no neighbor."""
+    """Per-node mean of ``qty`` over the neighbors that
+    :func:`_neighbor_sums` sums; ``count`` is each node's neighbor count.
+    NaN where a node has no neighbor."""
     with np.errstate(invalid="ignore"):
-        return _neighbor_sums(rows, targets, qty, len(count)) / count
+        return _neighbor_sums(offsets, targets, qty, transpose) / count
 
 
 def knn_undirected(graph: DirectedGraph | UndirectedGraph) -> CorrelationProfile:
@@ -207,12 +235,13 @@ def knn_undirected(graph: DirectedGraph | UndirectedGraph) -> CorrelationProfile
         raise UndefinedStatisticError("neighbor profile of an edgeless graph")
     if isinstance(graph, UndirectedGraph):
         deg = graph.degrees.astype(np.int64)
-        sums = _neighbor_sums(graph.rows, graph.targets, deg, len(deg))
+        sums = _neighbor_sums(graph.offsets, graph.targets, deg)
     else:
         deg = graph.undirected_degrees
-        one_way = ~graph.mutual  # a mutual in-neighbor is already an out-neighbor
-        sums = _neighbor_sums(graph.fwd_rows, graph.fwd_targets, deg, len(deg))
-        sums += _neighbor_sums(graph.fwd_targets[one_way], graph.fwd_rows[one_way], deg, len(deg))
+        csr = graph.fwd_offsets, graph.fwd_targets
+        sums = _neighbor_sums(*csr, deg)
+        # a mutual in-neighbor is already an out-neighbor
+        sums += _neighbor_sums(*csr, deg, transpose=True, skip=graph.mutual)
     with np.errstate(invalid="ignore"):
         knn = sums / deg
     kappa = exact_product_sum(deg, deg) / int(deg.sum())
@@ -235,16 +264,13 @@ def directed_knn(g: DirectedGraph, variant: KnnVariant) -> CorrelationProfile:
     averaged, conditioning = _knn_sides(variant, KnnVariant)
     deg = {"in": g.in_degrees, "out": g.out_degrees}
     cond, qty = deg[conditioning], deg[averaged]
-    if conditioning == "in":
-        # in-neighbor sums read the forward edges head first: each head's
-        # tails arrive in ascending order, as a reverse CSR would give them
-        rows, targets, w = g.fwd_targets, g.fwd_rows, deg["out"]
-    else:
-        rows, targets, w = g.fwd_rows, g.fwd_targets, deg["in"]
+    w = deg["out" if conditioning == "in" else "in"]
     norm = exact_product_sum(qty, w) / g.edge_count
+    # in-neighbor sums read the forward edges head first, with no reverse CSR
+    means = _neighbor_means(g.fwd_offsets, g.fwd_targets, qty, cond, conditioning == "in")
     return class_profile(
         cond,
-        _neighbor_means(rows, targets, qty, cond),
+        means,
         cond > 0,
         norm,
         f"k_{conditioning}",

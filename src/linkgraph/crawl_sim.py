@@ -228,16 +228,18 @@ def _wire(
     n = len(qr)
     u, v = np.concatenate([lo, hi, du]), np.concatenate([hi, lo, dv])
     graph = DirectedGraph(n, *_csr_from_edges(n, u, v))
+    placed, wired = len(lo), len(u)
+    del lo, hi, du, dv, u, v  # 16 bytes an edge that the mutual mask need not share
     realized = np.count_nonzero(graph.mutual) / graph.edge_count if graph.edge_count else None
     return graph, GenerationReport(
         node_count=n,
         edge_count=graph.edge_count,
         realized_reciprocity=realized,
         mutual_target_pairs=int(qr.sum()) // 2,
-        mutual_pairs_placed=len(lo),
+        mutual_pairs_placed=placed,
         conversion_shortfall=0,
         self_loops_discarded=2 * self_m + self_d,
-        duplicates_discarded=2 * dup_m + len(u) - graph.edge_count,
+        duplicates_discarded=2 * dup_m + wired - graph.edge_count,
         **fields,
     )
 

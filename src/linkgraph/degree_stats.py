@@ -171,7 +171,7 @@ _ZETA_CAN_STOP = np.ones(24, dtype=bool)
 _ZETA_CAN_STOP[[0, 10, 11]] = False
 _ZETA_ASYMPTOTIC_Q = 1e8
 # elements per term block: each holds about 100 float64 temporaries
-_ZETA_BLOCK = 1 << 14
+_ZETA_BLOCK = 1 << 12
 
 
 def _hurwitz_zeta(x, q):

@@ -93,6 +93,8 @@ class DirectedGraph:
         n = int(node_count)
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
+        if src.shape != dst.shape:
+            raise ValueError(f"src and dst differ in length ({src.size} and {dst.size})")
         if src.size:
             lo = min(int(src.min()), int(dst.min()))
             hi = max(int(src.max()), int(dst.max()))
@@ -112,7 +114,11 @@ class DirectedGraph:
 
     @cached_property
     def in_degrees(self) -> np.ndarray:
-        return _frozen(np.bincount(self.fwd_targets, minlength=self.node_count))
+        n, offsets = self.node_count, self.fwd_offsets
+        counts = np.zeros(n, dtype=np.int64)
+        for lo, hi in _row_blocks(offsets, n):  # bincount copies int32 targets to int64
+            counts += np.bincount(self.fwd_targets[offsets[lo] : offsets[hi]], minlength=n)
+        return _frozen(counts)
 
     @property
     def rev_offsets(self) -> np.ndarray:
@@ -125,30 +131,63 @@ class DirectedGraph:
 
     @cached_property
     def _reverse(self) -> tuple[np.ndarray, np.ndarray]:
-        """The forward CSR transposed on first use: the one place a reverse CSR is made."""
-        off, src = _csr_from_edges(self.node_count, self.fwd_targets, self.fwd_rows)
-        return _frozen(off), _frozen(src)
+        """The forward CSR transposed on first use: the one place a reverse
+        CSR is made. Each row block's keys, the target above the local
+        row's bits, are sorted, then scattered through a cursor per
+        target; blocks come in row order, so every reverse row ascends."""
+        offsets, targets = self.fwd_offsets, self.fwd_targets
+        rev_offsets = np.zeros(self.node_count + 1, dtype=np.int64)
+        np.cumsum(self.in_degrees, out=rev_offsets[1:])
+        cursor = rev_offsets[:-1].copy()
+        sources = np.empty(self.edge_count, dtype=np.int32)
+        for lo, hi in _row_blocks(offsets):
+            shift = (hi - lo).bit_length()  # shifts and masks: no int64 division
+            keys = targets[offsets[lo] : offsets[hi]].astype(np.int64)
+            keys <<= shift
+            keys |= _local_rows(offsets, lo, hi)
+            keys.sort()
+            heads = keys >> shift
+            keys &= (1 << shift) - 1
+            keys += lo  # each entry's source, in (head, source) order
+            fresh = np.empty(len(keys), dtype=bool)
+            fresh[:1] = True
+            np.not_equal(heads[1:], heads[:-1], out=fresh[1:])
+            starts = np.flatnonzero(fresh)
+            counts = np.diff(starts, append=len(keys))
+            heads = heads[starts]
+            # entry i of a run goes to its head's cursor plus i less the run's start
+            sources[np.arange(len(keys)) + np.repeat(cursor[heads] - starts, counts)] = keys
+            cursor[heads] += counts
+        return _frozen(rev_offsets), _frozen(sources)
 
     @cached_property
     def fwd_rows(self) -> np.ndarray:
-        """Source node of every forward CSR entry (length = edge_count)."""
-        return _frozen(np.repeat(np.arange(self.node_count, dtype=np.int64), self.out_degrees))
+        """Source node of every forward CSR entry (length = edge_count),
+        as int32 like the targets: n is below 2**31."""
+        return _frozen(np.repeat(np.arange(self.node_count, dtype=np.int32), self.out_degrees))
 
     @cached_property
     def mutual(self) -> np.ndarray:
         """Whether each forward CSR edge u->v has its reverse v->u: tested on
-        first use and kept, the one place the mutual test is made."""
+        first use and kept, the one place the mutual test is made. v->u is
+        the entry (row u, source v) of the reverse CSR, so each row block's
+        ``local row * n + neighbor`` keys, ascending on both CSRs, meet."""
         n = self.node_count
-        keys = self.fwd_rows * n + self.fwd_targets  # ascending
-        # v->u is the entry (row u, source v) of the reverse CSR
-        rev_keys = np.repeat(np.arange(n, dtype=np.int64) * n, self.in_degrees)
-        rev_keys += self.rev_sources
-        return _frozen(_in_sorted(rev_keys, keys))
+        fwd, rev = self.fwd_offsets, self.rev_offsets
+        mask = np.empty(self.edge_count, dtype=bool)
+        # blocks cut on both CSRs' entries at once, so neither side runs long
+        for lo, hi in _row_blocks(fwd + rev):
+            keys = _local_rows(fwd, lo, hi) * n
+            keys += self.fwd_targets[fwd[lo] : fwd[hi]]
+            rev_keys = _local_rows(rev, lo, hi) * n
+            rev_keys += self.rev_sources[rev[lo] : rev[hi]]
+            mask[fwd[lo] : fwd[hi]] = _in_sorted(rev_keys, keys)
+        return _frozen(mask)
 
     @cached_property
     def mutual_degrees(self) -> np.ndarray:
         """q_r, each node's mutual partners: its out-edges in ``mutual``."""
-        return _frozen(np.bincount(self.fwd_rows[self.mutual], minlength=self.node_count))
+        return _frozen(_row_counts(self.fwd_offsets, self.mutual))
 
     @cached_property
     def undirected_degrees(self) -> np.ndarray:
@@ -196,7 +235,7 @@ class UndirectedGraph:
 
     @cached_property
     def rows(self) -> np.ndarray:
-        return _frozen(np.repeat(np.arange(self.node_count, dtype=np.int64), self.degrees))
+        return _frozen(np.repeat(np.arange(self.node_count, dtype=np.int32), self.degrees))
 
     @cached_property
     def triangles(self) -> np.ndarray:
@@ -209,7 +248,7 @@ class UndirectedGraph:
         rank[np.argsort(self.degrees, kind="stable")] = np.arange(n)
         up = rank[self.rows] < rank[self.targets]
         # a subsequence of the sorted CSR: rows ascend, and heads within a row
-        src, dst = self.rows[up], self.targets[up].astype(np.int64)
+        src, dst = self.rows[up].astype(np.int64), self.targets[up].astype(np.int64)
         keys = src * n + dst
         idx = np.arange(len(src))
         later = np.cumsum(np.bincount(src, minlength=n))[src] - idx - 1
@@ -241,6 +280,42 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
+# Block loops take about this many CSR entries at a time, so that their
+# int64 keys and gathers hold a few bytes per edge, not 8 to 40.
+_BLOCK_EDGES = 1 << 16
+
+
+def _row_blocks(offsets: np.ndarray, least: int = 0) -> Iterator[tuple[int, int]]:
+    """Consecutive row ranges ``[lo, hi)`` covering every row of the CSR
+    ``offsets``: the one block iterator of every kernel that passes over
+    a CSR's entries. Each holds about ``size = max(_BLOCK_EDGES, least)``
+    entries past the rest of its first row; a loop that makes an array
+    of n per block asks for ``least = n``, so that those arrays cost
+    O(m + n) in all. A block starts at the row holding each multiple of
+    ``size``, so a row longer than ``size`` is cut only once."""
+    n = len(offsets) - 1
+    if n <= 0:
+        return
+    size = max(_BLOCK_EDGES, least)
+    cuts = np.searchsorted(offsets, np.arange(size, int(offsets[-1]), size), side="right") - 1
+    bounds = sorted_unique(np.concatenate([[0], cuts, [n]])).tolist()
+    yield from zip(bounds[:-1], bounds[1:])
+
+
+def _local_rows(offsets: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """int64 row of every entry of rows ``lo..hi-1``, counted from ``lo``."""
+    return np.repeat(np.arange(hi - lo, dtype=np.int64), np.diff(offsets[lo : hi + 1]))
+
+
+def _row_counts(offsets: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Entries of each row of the CSR ``offsets`` where the mask ``keep`` is set."""
+    counts = np.empty(len(offsets) - 1, dtype=np.int64)
+    for lo, hi in _row_blocks(offsets):
+        kept = _local_rows(offsets, lo, hi)[keep[offsets[lo] : offsets[hi]]]
+        counts[lo:hi] = np.bincount(kept, minlength=hi - lo)
+    return counts
+
+
 def _in_sorted(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Whether each of ``values`` occurs in the ascending array ``keys``."""
     if len(keys) == 0:
@@ -261,12 +336,17 @@ def _check_csr(n: int, offsets: np.ndarray, targets: np.ndarray, ids: np.ndarray
         raise ValueError("inconsistent offset array")
     if m and (targets.min() < 0 or targets.max() >= n):
         raise ValueError("node id out of range in graph")
-    ascending = targets[1:] > targets[:-1]
-    starts = offsets[1:-1]
-    ascending[starts[(starts > 0) & (starts < m)] - 1] = True  # each row starts afresh
-    if not ascending.all():
+    unsorted = looped = False
+    for lo, hi in _row_blocks(offsets):
+        rows = targets[offsets[lo] : offsets[hi]]
+        ascending = rows[1:] > rows[:-1]
+        starts = offsets[lo + 1 : hi] - offsets[lo]
+        ascending[starts[(starts > 0) & (starts < len(rows))] - 1] = True  # each row starts afresh
+        unsorted = unsorted or not ascending.all()
+        looped = looped or bool(np.any(_local_rows(offsets, lo, hi) + lo == rows))
+    if unsorted:
         raise ValueError("graph row not strictly ascending: unsorted or duplicate edge")
-    if np.any(np.repeat(np.arange(n, dtype=targets.dtype), sizes) == targets):
+    if looped:
         raise ValueError("self-loop in graph")
 
 
@@ -275,9 +355,9 @@ def _filter_csr(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The CSR of the entries where ``keep`` is set: the one place a sub-CSR
     is cut. A subsequence of a sorted CSR, so its rows stay ascending."""
-    kept_before = np.zeros(len(targets) + 1, dtype=np.int64)
-    np.cumsum(keep, out=kept_before[1:])
-    return kept_before[offsets], targets[keep]
+    kept_offsets = np.zeros(len(offsets), dtype=np.int64)
+    np.cumsum(_row_counts(offsets, keep), out=kept_offsets[1:])
+    return kept_offsets, targets[keep]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -385,10 +465,10 @@ def build_from_edge_list(source: EdgeListSource) -> tuple[DirectedGraph, IngestR
 def _compact(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dense ids ``0..n-1`` for ``keys`` in ascending key order, and the
     ``n`` distinct keys: by a presence table when the keys are
-    non-negative and below ``len(keys)``, else by one argsort. The table
-    skips the sort, which took 3 of the 7.5 s of a 10.9M-edge dense-id
-    ingest. The dense ids are int32, so they are only meaningful for
-    ``n <= _MAX_NODES``."""
+    non-negative and below ``len(keys)``, else by one argsort, after
+    which ``keys`` is sorted in place. The table skips the sort, which
+    took 3 of the 7.5 s of a 10.9M-edge dense-id ingest. The dense ids
+    are int32, so they are only meaningful for ``n <= _MAX_NODES``."""
     if keys.size == 0:
         return keys, keys
     hi = int(keys.max())
@@ -401,14 +481,16 @@ def _compact(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # np.unique(keys, return_inverse=True) does the same, but its intp
     # inverse raised the 10.9M-edge ingest peak from 730 to 1090 MiB
     order = np.argsort(keys)
-    keys = keys[order]
+    keys.sort()  # the caller's own column: a sorted copy would add 8 bytes a key
     first = np.empty(keys.size, dtype=bool)
     first[0] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     uniq = keys[first]
-    del keys
+    rank = np.cumsum(first, dtype=np.int32)
+    del first
+    rank -= 1
     dense = np.empty(order.size, dtype=np.int32)
-    dense[order] = np.cumsum(first, dtype=np.int32) - 1
+    dense[order] = rank
     return dense, uniq
 
 

@@ -47,7 +47,7 @@ class ReciprocalDecomposition:
         """Each mutual pair once as (u, v) with u < v, in CSR order."""
         rows, targets = self.subgraph.rows, self.subgraph.targets
         half = rows < targets
-        return np.stack([rows[half], targets[half].astype(np.int64)], axis=1)
+        return np.stack([rows[half].astype(np.int64), targets[half].astype(np.int64)], axis=1)
 
     @property
     def reciprocal_edge_count(self) -> int:
@@ -166,7 +166,7 @@ def reciprocal_knn(d: ReciprocalDecomposition, variant: ReciprocalKnnVariant) ->
     sub = d.subgraph
     return class_profile(
         q[conditioning],
-        _neighbor_means(sub.rows, sub.targets, qty, d.q_r),
+        _neighbor_means(sub.offsets, sub.targets, qty, d.q_r),
         d.q_r > 0,
         norm,
         f"q_{conditioning}",
@@ -219,6 +219,6 @@ def reciprocal_scatter(d: ReciprocalDecomposition) -> np.ndarray:
     sub = d.subgraph
     deg = sub.degrees
     members = np.flatnonzero(deg >= 1)
-    knn = _neighbor_means(sub.rows, sub.targets, deg, deg)
+    knn = _neighbor_means(sub.offsets, sub.targets, deg, deg)
     columns = members, deg[members], knn[members], _clustering_values(sub)[members]
     return np.stack(columns, axis=1)  # the int columns promote to float64

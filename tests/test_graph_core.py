@@ -22,7 +22,15 @@ from linkgraph import (
     undirected_view,
 )
 from linkgraph import graph as graph_module
-from linkgraph.graph import _csr_from_edges, _filter_csr, _in_sorted, _restrict, sorted_unique
+from linkgraph.correlations import _neighbor_sums
+from linkgraph.graph import (
+    _csr_from_edges,
+    _filter_csr,
+    _in_sorted,
+    _restrict,
+    _row_blocks,
+    sorted_unique,
+)
 
 from conftest import CACHE_HEADER, TOY8_EDGES, cache_targets_at, graph_of, reseal, v1_cache
 from oracles import random_digraph, same_structure
@@ -222,7 +230,7 @@ class TestIngest:
         finally:
             tracemalloc.stop()
         assert (g.original_ids is None) == dense
-        assert peak <= 4.25 * 16 * lines, peak / (16 * lines)
+        assert peak <= 3.4 * 16 * lines, peak / (16 * lines)
 
     def test_corrupt_gzip_raises(self, tmp_path):
         packed = gzip.compress(b"0 1\n" * 50_000)
@@ -333,6 +341,11 @@ class TestGraphStructure:
     def test_from_edges_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             DirectedGraph.from_edges(2, np.array([0]), np.array([2]))
+
+    @pytest.mark.parametrize("src, dst", [([0, 1, 2], [1]), ([0, 1], [1, 2, 0])])
+    def test_from_edges_rejects_columns_of_two_lengths(self, src, dst):
+        with pytest.raises(ValueError, match=r"src and dst differ in length \(\d and \d\)"):
+            DirectedGraph.from_edges(3, src, dst)
 
     @pytest.mark.parametrize("build", [DirectedGraph.from_edges, _csr_from_edges])
     def test_node_count_beyond_int32_targets_raises_before_allocating(self, build):
@@ -495,6 +508,113 @@ class TestFilterCsr:
             assert off.tolist() == want_off
             assert tgt.tolist() == want_tgt
             DirectedGraph(n, off, tgt)  # still a sorted, checked CSR
+
+
+def _sparse_id_graph(rng, n, m):
+    """A seeded random graph ingested from 40-bit ids, with about a third
+    of its edges reciprocated, one out-hub and one in-hub."""
+    names = (1 << 39) + rng.choice(1 << 39, n, replace=False)
+    u, v = rng.integers(0, n, m), rng.integers(0, n, m)
+    back = rng.random(m) < 0.3
+    everyone = np.arange(n)
+    src = np.concatenate([u, v[back], np.zeros(n, dtype=np.int64), everyone])
+    dst = np.concatenate([v, u[back], everyone, np.full(n, n // 2)])
+    g, _ = build_from_edge_list(f"{names[a]} {names[b]}" for a, b in zip(src, dst))
+    return g
+
+
+def _block_cases():
+    rng = np.random.default_rng(29)
+    yield "n=0", DirectedGraph.from_edges(0, [], [])
+    yield "edgeless", DirectedGraph.from_edges(6, [], [])
+    # rows 1, 2, 5 and 6 are empty, next to the cuts of blocks of 1, 3 and 7 entries
+    yield "empty-rows", graph_of(9, [(0, 1), (0, 2), (0, 3), (3, 0), (3, 4), (3, 8),
+                                     (4, 0), (7, 3), (7, 8), (8, 7)])
+    hub = [(0, v) for v in range(1, 20)] + [(v, 0) for v in range(5, 20, 2)] + [(3, 4), (4, 3)]
+    yield "hub", graph_of(20, hub)  # row 0 spans several blocks
+    for seed, (n, m) in enumerate([(12, 40), (40, 300), (90, 900)]):
+        yield f"sparse-ids-{seed}", _sparse_id_graph(rng, n, m)
+
+
+class TestBlocks:
+    """Every block loop, cut into blocks of a few entries, against brute force."""
+
+    @pytest.fixture(params=[1, 3, 7], autouse=True)
+    def size(self, request, monkeypatch):
+        monkeypatch.setattr(graph_module, "_BLOCK_EDGES", request.param)
+        return request.param
+
+    @pytest.fixture(params=list(_block_cases()), ids=lambda case: case[0])
+    def g(self, request):
+        # a fresh graph for each block size: derived arrays are kept on the graph
+        g = request.param[1]
+        return DirectedGraph(g.node_count, g.fwd_offsets, g.fwd_targets, g.original_ids)
+
+    @staticmethod
+    def _edges(g):
+        return [(u, int(v)) for u in range(g.node_count) for v in g.out_neighbors(u)]
+
+    def test_blocks_tile_the_rows(self, g, size):
+        offsets = g.fwd_offsets
+        blocks = list(_row_blocks(offsets))
+        assert [lo for lo, _ in blocks] + [g.node_count] == [0] + [hi for _, hi in blocks]
+        for lo, hi in blocks:
+            rows = np.diff(offsets[lo : hi + 1])
+            assert hi > lo and rows.sum() - rows.max() < size  # one row may run long
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [([9, 8], "not strictly ascending"), ([8, 8], "not strictly ascending"), ([8, 9], "self-loop")],
+    )
+    def test_constructor_finds_a_fault_in_the_last_block(self, row, message):
+        offsets = np.array([*range(10), 11])  # rows 0..8 hold one entry, row 9 two
+        targets = np.array([1, 2, 3, 4, 5, 6, 7, 8, 0, *row], dtype=np.int32)
+        with pytest.raises(ValueError, match=message):
+            DirectedGraph(10, offsets, targets)
+
+    def test_reverse_csr_and_mutual_match_bruteforce(self, g):
+        edges = self._edges(g)
+        ins = [sorted(u for u, v in edges if v == w) for w in range(g.node_count)]
+        assert g.rev_offsets.tolist() == [0, *np.cumsum([len(r) for r in ins], dtype=int).tolist()]
+        assert g.rev_sources.tolist() == [u for r in ins for u in r]
+        assert g.rev_sources.dtype == np.int32
+        assert g.in_degrees.tolist() == [len(r) for r in ins]
+        present = set(edges)
+        assert g.mutual.tolist() == [(v, u) in present for u, v in edges]
+        assert g.mutual_degrees.tolist() == [
+            sum((v, u) in present for v in g.out_neighbors(u).tolist()) for u in range(g.node_count)
+        ]
+
+    def test_neighbor_sums_and_cuts_match_bruteforce(self, g):
+        n, edges = g.node_count, self._edges(g)
+        qty = np.random.default_rng(3).integers(0, 1000, n)
+        present = set(edges)
+        out_sums, in_sums, one_way = [0] * n, [0] * n, [0] * n
+        for u, v in edges:
+            out_sums[u] += qty[v]
+            in_sums[v] += qty[u]
+            one_way[v] += qty[u] * ((v, u) not in present)
+        csr = g.fwd_offsets, g.fwd_targets
+        assert _neighbor_sums(*csr, qty).tolist() == out_sums
+        assert _neighbor_sums(*csr, qty, transpose=True).tolist() == in_sums
+        assert _neighbor_sums(*csr, qty, transpose=True, skip=g.mutual).tolist() == one_way
+        off, tgt = _filter_csr(*csr, g.mutual)
+        assert (off.tolist(), tgt.tolist()) == _filter_bruteforce(*csr, g.mutual)
+
+
+def test_reverse_csr_and_mutual_mask_hold_a_few_bytes_an_edge():
+    # the reverse CSR (4 bytes an entry) and the mask (1) are kept; whole-array
+    # int64 keys for the transpose and the mask took about 46 bytes an edge
+    rng = np.random.default_rng(11)
+    n, m = 100_000, 1_000_000
+    g = DirectedGraph.from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m))
+    tracemalloc.start()
+    try:
+        g.rev_sources, g.mutual
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * g.edge_count, peak / g.edge_count
 
 
 @pytest.mark.parametrize(
