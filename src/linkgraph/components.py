@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DirectedGraph
+from .graph import DirectedGraph, _row_blocks
 
 
 class BowTieClass(enum.Enum):
@@ -122,8 +122,9 @@ def _search(g: DirectedGraph, way: str, blocked, seeds: np.ndarray) -> np.ndarra
     "both" directions), seeds included, never passing through a node of
     the mask ``blocked`` (None blocks none), whose nodes it includes.
     Raises :class:`_TooDeep` after ``_LEVELS`` steps. Each step marks the
-    targets of the frontier's rows, gathered by index arithmetic; those
-    not reached before are the next frontier.
+    targets of the frontier's rows, gathered by index arithmetic in
+    blocks of about ``_BLOCK_EDGES`` entries; those not reached before are
+    the next frontier.
     """
     fwd, rev = (g.fwd_offsets, g.fwd_targets), (g.rev_offsets, g.rev_sources)
     reached = np.zeros(g.node_count, dtype=bool) if blocked is None else blocked.copy()
@@ -134,9 +135,14 @@ def _search(g: DirectedGraph, way: str, blocked, seeds: np.ndarray) -> np.ndarra
         for offsets, targets in {"out": [fwd], "in": [rev], "both": [fwd, rev]}[way]:
             starts = offsets[frontier]
             counts = offsets[frontier + 1] - starts
-            # each gathered entry: its row's start plus its place in the row
-            shift = np.repeat(starts - np.cumsum(counts) + counts, counts)
-            fresh[targets[np.arange(len(shift)) + shift]] = True
+            # the frontier's rows as one CSR: row i's entries are ends[i]..ends[i+1]-1
+            ends = np.zeros(len(frontier) + 1, dtype=np.int64)
+            np.cumsum(counts, out=ends[1:])
+            starts -= ends[:-1]  # each gathered entry: its place plus its row's shift
+            for lo, hi in _row_blocks(ends):
+                shift = np.repeat(starts[lo:hi], counts[lo:hi])
+                shift += np.arange(ends[lo], ends[hi])
+                fresh[targets[shift]] = True
         fresh &= ~reached
         reached |= fresh
         frontier = np.flatnonzero(fresh)

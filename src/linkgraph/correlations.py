@@ -138,23 +138,27 @@ def normalized_product_ratio(
 ) -> tuple[float, float]:
     """<xy>/(<x><y>) over parallel per-node arrays, with a delta-method
     standard error. Raises when either mean is zero."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     n = len(x)
     if n == 0:
         raise UndefinedStatisticError("ratio over an empty population")
-    mx, my = x.mean(), y.mean()
+    # one (3, n) array holds xy, x and y
+    rows = np.empty((3, n))
+    rows[1], rows[2] = x, y
+    np.multiply(rows[1], rows[2], out=rows[0])
+    mxy, mx, my = (row.mean() for row in rows)
     if mx == 0 or my == 0:
         raise UndefinedStatisticError("ratio denominator mean is zero")
-    xy = x * y
-    mxy = xy.mean()
     ratio = mxy / (mx * my)
     if n < 2:
         return float(ratio), float("nan")
     grad = np.array(
         [1.0 / (mx * my), -mxy / (mx * mx * my), -mxy / (mx * my * my)]
     )
-    cov = np.cov(np.stack([xy, x, y]), ddof=1) / n
+    # the steps of np.cov(rows, ddof=1), in place, so its bits are kept
+    rows -= rows.mean(axis=1)[:, None]
+    cov = np.dot(rows, rows.T)
+    cov *= np.true_divide(1, n - 1)
+    cov /= n
     var = float(grad @ cov @ grad)
     return float(ratio), float(np.sqrt(max(var, 0.0)))
 

@@ -123,10 +123,14 @@ def scatter_csv(rows: np.ndarray, g: DirectedGraph | UndirectedGraph) -> str:
     """`node,q_r,mean_neighbor_q_r,clustering` per row of
     :func:`reciprocal_scatter`; clustering is blank where undefined."""
     ids = _node_ids(g, rows[:, 0].astype(np.int64))
-    clustering = rows[:, 3].astype(object)
-    clustering[np.isnan(rows[:, 3])] = ""
-    cols = rows[:, 1].astype(np.int64), rows[:, 2], clustering
-    return _table(["node,q_r,mean_neighbor_q_r,clustering"], ids, *cols)
+    q_r = rows[:, 1].astype(np.int64)
+
+    def blocks():
+        for s in range(0, len(rows), _BLOCK):
+            clustering = ["" if math.isnan(c) else c for c in rows[s : s + _BLOCK, 3].tolist()]
+            yield [ids[s : s + _BLOCK], q_r[s : s + _BLOCK], rows[s : s + _BLOCK, 2], clustering]
+
+    return _text(["node,q_r,mean_neighbor_q_r,clustering"], blocks(), ",")
 
 
 def edge_list_text(g: DirectedGraph | UndirectedGraph) -> str:

@@ -297,6 +297,9 @@ def _row_blocks(offsets: np.ndarray, least: int = 0) -> Iterator[tuple[int, int]
     if n <= 0:
         return
     size = max(_BLOCK_EDGES, least)
+    if offsets[-1] <= size:  # the common one-block case, without the searches
+        yield 0, n
+        return
     cuts = np.searchsorted(offsets, np.arange(size, int(offsets[-1]), size), side="right") - 1
     bounds = sorted_unique(np.concatenate([[0], cuts, [n]])).tolist()
     yield from zip(bounds[:-1], bounds[1:])
@@ -368,17 +371,41 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def _csr_from_edges(n: int, src: np.ndarray, dst: np.ndarray):
     """Sorted CSR (offsets, targets) of the distinct edges given by
-    parallel arrays of ids in ``0..n-1``, none a self-loop: one sort of
-    the ``src*n+dst`` keys orders the rows and drops duplicates."""
+    parallel arrays of ids in ``0..n-1``, none a self-loop."""
     if n > _MAX_NODES:
         raise ValueError(f"node count {n} exceeds supported maximum {_MAX_NODES}")
-    if src.size == 0:
-        return np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int32)
-    keys = sorted_unique(np.asarray(src, dtype=np.int64) * n + dst)
-    rows = keys // n
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
-    return offsets, (keys - rows * n).astype(np.int32)
+    keys = np.multiply(src, n, dtype=np.int64)
+    keys += dst
+    return _csr_from_keys(n, keys)
+
+
+def _csr_from_keys(n: int, keys: np.ndarray):
+    """Sorted CSR (offsets, targets) of the distinct edges whose keys
+    ``src*n+dst`` fill ``keys``, an int64 array that no one else holds:
+    the one CSR kernel. The keys are sorted and deduplicated in place,
+    then each target is written over bytes of keys already read, and the
+    buffer is cut to the targets' length; so the kernel holds 8 bytes an
+    edge and, once done, 4."""
+    keys.sort()
+    m = last = 0
+    for lo in range(0, len(keys), _BLOCK_EDGES):  # a block's first keys move down to m
+        block = keys[lo : lo + _BLOCK_EDGES]
+        fresh = np.empty(len(block), dtype=bool)
+        fresh[0] = lo == 0 or block[0] != last
+        np.not_equal(block[1:], block[:-1], out=fresh[1:])
+        last = block[-1]
+        kept = block[fresh]
+        keys[m : m + len(kept)] = kept
+        m += len(kept)
+    offsets = np.searchsorted(keys[:m], np.arange(n + 1, dtype=np.int64) * n)
+    targets = keys.view(np.int32)
+    for lo in range(0, m, _BLOCK_EDGES):
+        hi = min(lo + _BLOCK_EDGES, m)
+        # target i sits in the bytes of key i // 2, read in this block or before
+        targets[lo:hi] = keys[lo:hi] % n
+    del targets
+    keys.resize((m + 1) // 2, refcheck=False)
+    return offsets, keys.view(np.int32)[:m]
 
 
 def exact_product_sum(*factors: np.ndarray) -> int:
@@ -430,58 +457,166 @@ def build_from_edge_list(source: EdgeListSource) -> tuple[DirectedGraph, IngestR
     """
     # the line parser reads again from the start: a pipe cannot be re-read
     regular = isinstance(source, (str, Path)) and os.path.isfile(source)
-    fast = _parse_fast(source) if regular else None
-    ids, raw = fast or _parse_lines(source)
-    del fast
-    total = len(ids) // 2
-    s, d = ids[0::2], ids[1::2]
-    keep = s != d
-    s, d = s[keep], d[keep]
-    del ids, keep
-    m = len(s)
+    edges = _parse_fast(source) if regular else None
+    if edges is None:
+        edges = _parse_lines(source)
+    return edges.build()
 
-    keys = np.concatenate([s, d])
-    del s, d
-    dense, uniq = _compact(keys)
-    del keys
-    n = len(uniq)
+
+class _EdgeColumns:
+    """An edge list's endpoints, taken piece by piece as a parser reads
+    them, so that no column of the file's int64 ids is ever made. Each
+    piece drops its self-loops and is kept as one int32 column, its
+    sources then its targets: its ids while every id so far fits int32,
+    else its indices in an :class:`_IdTable`."""
+
+    def __init__(self):
+        self.raw = self.lines = 0  # physical lines, and data lines among them
+        self.pieces: list[np.ndarray] = []
+        self.hi = -1  # the largest id, while the pieces hold ids
+        self.table: _IdTable | None = None  # set once the pieces hold indices
+
+    def add(self, ids: np.ndarray, raw: int) -> None:
+        """Take ``raw`` more lines, whose ids ``ids`` are flattened as
+        ``src, dst, src, ...``."""
+        self.raw += raw
+        self.lines += len(ids) // 2
+        src, dst = ids[0::2], ids[1::2]
+        keep = src != dst
+        ends = np.concatenate([src[keep], dst[keep]])
+        if not ends.size:
+            return
+        top = int(ends.max())
+        if self.table is None and top <= _MAX_NODES:  # each id fits int32
+            self.hi = max(self.hi, top)
+            self.pieces.append(ends.astype(np.int32))
+            return
+        self._index_pieces()
+        self.pieces.append(self.table.index(ends))
+
+    def _index_pieces(self) -> None:
+        """Move the pieces that hold ids onto table indices."""
+        if self.table is None:
+            self.table = _IdTable()
+            for piece in self.pieces:
+                piece[:] = self.table.index(piece)
+
+    def build(self) -> tuple[DirectedGraph, IngestReport]:
+        """The compacted graph and the report of every line taken. Each
+        id's rank among the distinct ids comes from a presence table when
+        every id is below the endpoint count, which needs no sort, else
+        from the id table. Then each piece's keys fill one column for the
+        CSR kernel, and the piece is let go."""
+        ends = sum(len(piece) for piece in self.pieces)
+        if self.table is None and self.hi >= ends:
+            self._index_pieces()
+        if self.table is None:
+            present = np.zeros(self.hi + 1, dtype=bool)
+            for piece in self.pieces:
+                present[piece] = True
+            n = np.count_nonzero(present)
+            _check_node_count(n)
+            rank = None  # the ids are 0..n-1 already
+            if n <= self.hi:
+                rank = np.cumsum(present, dtype=np.int32)
+                rank -= 1
+            ids = np.flatnonzero(present)
+            del present
+        else:
+            ids, rank = self.table.ranks()
+        n = len(ids)
+        original_ids = ids if n and (ids[0] != 0 or ids[-1] != n - 1) else None
+        m = ends // 2
+        keys = np.empty(m, dtype=np.int64)
+        at = 0
+        self.pieces.reverse()
+        while self.pieces:
+            piece = self.pieces.pop()
+            if rank is not None:
+                piece = rank[piece]
+            h = len(piece) // 2
+            np.multiply(piece[:h], n, out=keys[at : at + h], dtype=np.int64)
+            keys[at : at + h] += piece[h:]
+            at += h
+        graph = DirectedGraph(n, *_csr_from_keys(n, keys), original_ids)
+        report = IngestReport(
+            raw_lines=self.raw,
+            skipped_lines=self.raw - self.lines,
+            self_loops_removed=self.lines - m,
+            duplicates_removed=m - graph.edge_count,
+            nodes=n,
+            edges=graph.edge_count,
+        )
+        return graph, report
+
+
+def _check_node_count(n: int) -> None:
     if n > _MAX_NODES:
         raise EdgeListParseError(0, f"too many distinct node ids ({n})")
-    original_ids = None
-    if n and (uniq[0] != 0 or uniq[-1] != n - 1):
-        original_ids = uniq
-    graph = DirectedGraph(n, *_csr_from_edges(n, dense[:m], dense[m:]), original_ids)
-    report = IngestReport(
-        raw_lines=raw,
-        skipped_lines=raw - total,
-        self_loops_removed=total - m,
-        duplicates_removed=m - graph.edge_count,
-        nodes=n,
-        edges=graph.edge_count,
-    )
-    return graph, report
+
+
+class _IdTable:
+    """Distinct node ids in the order first seen, each with a lasting
+    int32 index, so that every endpoint is indexed once, as its piece is
+    read. The ids sit in sorted runs, each at least twice as long as the
+    next: a new run is merged into the last while that one is less than
+    twice as long. So the table holds O(n) bytes in O(log n) runs,
+    whatever the number of pieces, and a piece's sorted distinct ids are
+    looked up with one sorted-query search of each run."""
+
+    def __init__(self):
+        self.runs: list[tuple[np.ndarray, np.ndarray]] = []  # (sorted ids, their indices)
+        self.size = 0
+
+    def index(self, ends: np.ndarray) -> np.ndarray:
+        """The int32 index of each of ``ends``; ids not seen before take
+        the next indices."""
+        local, uniq = _compact(ends)
+        uniq = uniq.astype(np.int64, copy=False)
+        index = np.empty(len(uniq), dtype=np.int32)
+        new = np.arange(len(uniq))  # the ids not found yet, looked up in the longest run first
+        for ids, at in self.runs:
+            pos = np.searchsorted(ids, uniq[new])
+            np.minimum(pos, len(ids) - 1, out=pos)
+            hit = ids[pos] == uniq[new]
+            index[new[hit]] = at[pos[hit]]
+            new = new[~hit]
+        _check_node_count(self.size + len(new))
+        index[new] = np.arange(self.size, self.size + len(new), dtype=np.int32)
+        self.size += len(new)
+        run = uniq[new], index[new]
+        while self.runs and len(self.runs[-1][0]) < 2 * len(run[0]):
+            run = _merged_runs(self.runs.pop(), run)
+        if len(run[0]):
+            self.runs.append(run)
+        return index[local]
+
+    def ranks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted distinct ids, and the int32 rank among them of the
+        id at each index."""
+        while len(self.runs) > 1:
+            last = self.runs.pop()
+            self.runs.append(_merged_runs(self.runs.pop(), last))
+        ids, at = self.runs.pop()
+        rank = np.empty(self.size, dtype=np.int32)
+        rank[at] = np.arange(self.size, dtype=np.int32)
+        return ids, rank
+
+
+def _merged_runs(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Two sorted runs of ``(ids, indices)`` as one: a stable argsort of
+    two ascending runs is one linear merge."""
+    ids = np.concatenate([a[0], b[0]])
+    order = np.argsort(ids, kind="stable")
+    return ids[order], np.concatenate([a[1], b[1]])[order]
 
 
 def _compact(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense ids ``0..n-1`` for ``keys`` in ascending key order, and the
-    ``n`` distinct keys: by a presence table when the keys are
-    non-negative and below ``len(keys)``, else by one argsort, after
-    which ``keys`` is sorted in place. The table skips the sort, which
-    took 3 of the 7.5 s of a 10.9M-edge dense-id ingest. The dense ids
-    are int32, so they are only meaningful for ``n <= _MAX_NODES``."""
-    if keys.size == 0:
-        return keys, keys
-    hi = int(keys.max())
-    if int(keys.min()) >= 0 and hi < keys.size:
-        present = np.zeros(hi + 1, dtype=bool)
-        present[keys] = True
-        rank = np.cumsum(present, dtype=np.int32)
-        rank -= 1
-        return rank[keys], np.flatnonzero(present)
-    # np.unique(keys, return_inverse=True) does the same, but its intp
-    # inverse raised the 10.9M-edge ingest peak from 730 to 1090 MiB
+    """Dense int32 ids ``0..n-1`` for ``keys`` in ascending key order,
+    and the ``n`` distinct keys, by one argsort."""
+    # np.unique(keys, return_inverse=True) does the same, a little slower
     order = np.argsort(keys)
-    keys.sort()  # the caller's own column: a sorted copy would add 8 bytes a key
+    keys = keys[order]
     first = np.empty(keys.size, dtype=bool)
     first[0] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
@@ -494,25 +629,21 @@ def _compact(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dense, uniq
 
 
-def _parse_fast(path: str | Path) -> tuple[np.ndarray, int] | None:
-    """``(ids, raw_lines)`` of a file in the common grammar, with ids
-    flattened as ``src, dst, src, ...``; None when any piece of it falls
-    outside that grammar or its gzip stream breaks, so that the line
-    parser reads it from the start."""
-    parts = []
-    raw = 0
+def _parse_fast(path: str | Path) -> _EdgeColumns | None:
+    """The edge columns of a file in the common grammar, taken a chunk at
+    a time; None when any piece of it falls outside that grammar or its
+    gzip stream breaks, so that the line parser reads it from the start."""
+    edges = _EdgeColumns()
     try:
         with _open_decompressed(path) as fh:
             for chunk in _newline_chunks(fh):
-                raw += chunk.count(b"\n") + (not chunk.endswith(b"\n"))
                 ids = _parse_chunk(chunk)
                 if ids is None:
                     return None
-                parts.append(ids)
+                edges.add(ids, chunk.count(b"\n") + (not chunk.endswith(b"\n")))
     except _GZIP_ERRORS:
         return None  # the line parser names the line where the stream breaks
-    ids = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-    return ids, raw
+    return edges
 
 
 def _newline_chunks(fh) -> Iterator[bytes]:
@@ -524,8 +655,10 @@ def _newline_chunks(fh) -> Iterator[bytes]:
         if cut == 0:
             pending.append(block)
             continue
-        yield b"".join([*pending, block[:cut]])
+        chunk = b"".join([*pending, memoryview(block)[:cut]])
         pending = [block[cut:]]
+        del block  # only the chunk is held while it is parsed
+        yield chunk
     tail = b"".join(pending)
     if tail:
         yield tail
@@ -559,11 +692,13 @@ def _parse_chunk(chunk: bytes) -> np.ndarray | None:
     return ids if ids.size == starts.size else None
 
 
-def _parse_lines(source: EdgeListSource) -> tuple[np.ndarray, int]:
-    """``(ids, raw_lines)`` by the per-line grammar: the spec for every
-    input, and the parser of every input the fast path does not take."""
+def _parse_lines(source: EdgeListSource) -> _EdgeColumns:
+    """The edge columns of ``source`` by the per-line grammar: the spec
+    for every input, and the parser of every input the fast path does not
+    take. Ids go to the columns about every ``_CHUNK_BYTES`` of them."""
+    edges = _EdgeColumns()
     ids = array("q")
-    raw = 0
+    raw = taken = 0
     for raw, line in _iter_lines(source):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -582,7 +717,11 @@ def _parse_lines(source: EdgeListSource) -> tuple[np.ndarray, int]:
             raise EdgeListParseError(
                 raw, f"node id outside the 64-bit range in {stripped!r}"
             ) from None
-    return np.asarray(ids, dtype=np.int64), raw
+        if 8 * len(ids) >= _CHUNK_BYTES:
+            edges.add(np.asarray(ids, dtype=np.int64), raw - taken)
+            ids, taken = array("q"), raw
+    edges.add(np.asarray(ids, dtype=np.int64), raw - taken)
+    return edges
 
 
 def _line_error(lineno: int, problem: str, line: str) -> EdgeListParseError:
@@ -643,9 +782,13 @@ def save_cache(g: DirectedGraph) -> bytes:
     flags = int(g.original_ids is not None)  # bit 0: the ids follow
     if flags:
         arrays.append((g.original_ids, "<i8"))
-    payload = b"".join(np.ascontiguousarray(a, dtype=t).tobytes() for a, t in arrays)
-    fields = (flags, zlib.crc32(payload), g.node_count, g.edge_count)
-    return _HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, *fields) + payload
+    # joined once from the arrays' own bytes: the cache is held once
+    parts = [memoryview(np.ascontiguousarray(a, dtype=t)) for a, t in arrays]
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    fields = (flags, crc, g.node_count, g.edge_count)
+    return b"".join([_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, *fields), *parts])
 
 
 def load_cache(data: bytes) -> DirectedGraph:

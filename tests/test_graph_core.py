@@ -94,6 +94,30 @@ def _fast_and_loop(path):
     return fast
 
 
+def _chunk_case(case):
+    """A seeded edge list of about 120 lines for the chunk-boundary tests."""
+    rng = np.random.default_rng(17)
+    small, big = np.arange(40), (1 << 39) + rng.choice(1 << 39, 40, replace=False)
+    pairs = rng.integers(0, 40, (120, 2))
+    if case == "40-bit":
+        ids = big[pairs]
+    elif case == "dense-then-40-bit":
+        # the later lines mix new 40-bit ids with ids of the dense lines
+        ids = np.concatenate([small[pairs[:60]], np.where(pairs[60:] % 2, big[pairs[60:]], pairs[60:])])
+    elif case == "int32-edge":
+        ids = np.array([0, 1, 2, 2**31 - 2, 2**31 - 1, 2**31, 2**31 + 1])[pairs % 7]
+    else:
+        ids = small[pairs]
+    lines = [f"{a} {b}" for a, b in ids]
+    if case == "duplicate":
+        lines = ["3 5", *lines[:60], "3 5", *lines[60:], "3 5"]
+    elif case == "self-loop-only":
+        lines[50:50] = ["99 99"] * 6 + ["7 7"]  # 99 is on no other line
+    elif case == "comments":
+        lines[50:50] = ["# a comment line of some length"] * 8 + ["", "   ", "\t# and another"]
+    return "\n".join(lines) + "\n"
+
+
 class TestIngest:
     def test_basic_parse(self):
         g, rep = build("0 1\n1 2\n")
@@ -230,7 +254,35 @@ class TestIngest:
         finally:
             tracemalloc.stop()
         assert (g.original_ids is None) == dense
-        assert peak <= 3.4 * 16 * lines, peak / (16 * lines)
+        # one 1 MiB chunk's parse sets the dense file's peak; whole-file id
+        # columns and one argsort of them read 3.18x on the sparse one
+        assert peak <= (3.25 if dense else 2.5) * 16 * lines, peak / (16 * lines)
+
+    @pytest.mark.parametrize("chunk", [24, 40])
+    @pytest.mark.parametrize(
+        "case",
+        ["dense", "40-bit", "dense-then-40-bit", "int32-edge", "duplicate", "self-loop-only", "comments"],
+    )
+    def test_chunks_build_the_cache_of_one_read(self, tmp_path, case, chunk):
+        p = tmp_path / "edges.txt"
+        p.write_text(_chunk_case(case))
+        whole = _fast_and_loop(p)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "_CHUNK_BYTES", chunk)
+            assert len(graph_module._parse_fast(p).pieces) > 1
+            cut = _fast_and_loop(p)
+        assert save_cache(cut[0]) == save_cache(whole[0])
+        assert cut[1] == whole[1]
+
+    @pytest.mark.parametrize(
+        "extra", ["4 0", "14 10", "3 99"], ids=["presence-table", "id-table", "ids-then-table"]
+    )
+    def test_too_many_distinct_ids_raise(self, monkeypatch, extra):
+        monkeypatch.setattr(graph_module, "_MAX_NODES", 4)
+        four = "0 1\n2 3\n" if extra != "14 10" else "10 11\n12 13\n"
+        assert build(four)[0].node_count == 4
+        with pytest.raises(EdgeListParseError, match=r"too many distinct node ids \(5\)"):
+            build(f"{four}{extra}\n")
 
     def test_corrupt_gzip_raises(self, tmp_path):
         packed = gzip.compress(b"0 1\n" * 50_000)
@@ -572,6 +624,21 @@ class TestBlocks:
         with pytest.raises(ValueError, match=message):
             DirectedGraph(10, offsets, targets)
 
+    def test_csr_kernel_matches_bruteforce(self, g):
+        edges = self._edges(g)
+        rng = np.random.default_rng(len(edges))
+        # each edge one to three times, shuffled: duplicates meet inside
+        # blocks and across their edges
+        pick = rng.permutation(np.repeat(np.arange(len(edges)), rng.integers(1, 4, len(edges))))
+        src = np.array([edges[i][0] for i in pick], dtype=np.int64)
+        dst = np.array([edges[i][1] for i in pick], dtype=np.int32)
+        off, tgt = _csr_from_edges(g.node_count, src, dst)
+        distinct = sorted(set(edges))
+        rows = np.bincount([u for u, _ in distinct], minlength=g.node_count)
+        assert off.tolist() == [0, *np.cumsum(rows, dtype=int).tolist()]
+        assert tgt.tolist() == [v for _, v in distinct]
+        assert tgt.dtype == np.int32
+
     def test_reverse_csr_and_mutual_match_bruteforce(self, g):
         edges = self._edges(g)
         ins = [sorted(u for u, v in edges if v == w) for w in range(g.node_count)]
@@ -698,6 +765,21 @@ class TestCache:
         for arr in (g2.fwd_offsets, g2.fwd_targets, g2.rev_offsets, g2.rev_sources):
             assert not arr.flags.writeable
         assert g2.fwd_targets.base is not None  # a view, not a copy
+
+    def test_writes_the_bytes_once(self):
+        # a copy of each array, the joined payload and the header's
+        # concatenation held three caches at once
+        rng = np.random.default_rng(2)
+        n, m = 50_000, 400_000
+        g = DirectedGraph.from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m), np.arange(n) * 3)
+        tracemalloc.start()
+        try:
+            blob = save_cache(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * len(blob), peak / len(blob)
+        assert load_cache(blob).original_ids.tolist() == (np.arange(n) * 3).tolist()
 
     def test_stores_only_the_forward_csr(self, toy8):
         n, m = toy8.node_count, toy8.edge_count
