@@ -230,6 +230,7 @@ def _wire(
     graph = DirectedGraph(n, *_csr_from_edges(n, u, v))
     placed, wired = len(lo), len(u)
     del lo, hi, du, dv, u, v  # 16 bytes an edge that the mutual mask need not share
+    graph.rev_offsets  # the mask's reverse CSR, kept: every caller's bow-tie reads it later
     realized = np.count_nonzero(graph.mutual) / graph.edge_count if graph.edge_count else None
     return graph, GenerationReport(
         node_count=n,

@@ -11,12 +11,11 @@ from __future__ import annotations
 import gzip
 import io
 import math
-import os
 import re
 import struct
 import zlib
 from array import array
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
@@ -91,10 +90,12 @@ class DirectedGraph:
         """Build a graph from dense-id edge arrays given from outside: ids
         are range-checked, self-loops and duplicate edges are dropped."""
         n = int(node_count)
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
+        src, dst = np.asarray(src), np.asarray(dst)
         if src.shape != dst.shape:
             raise ValueError(f"src and dst differ in length ({src.size} and {dst.size})")
+        if src.size and (src.dtype.kind not in "iu" or dst.dtype.kind not in "iu"):
+            raise ValueError(f"edge endpoints are not integers ({src.dtype} and {dst.dtype})")
+        src, dst = src.astype(np.int64, copy=False), dst.astype(np.int64, copy=False)
         if src.size:
             lo = min(int(src.min()), int(dst.min()))
             hi = max(int(src.max()), int(dst.max()))
@@ -131,10 +132,13 @@ class DirectedGraph:
 
     @cached_property
     def _reverse(self) -> tuple[np.ndarray, np.ndarray]:
-        """The forward CSR transposed on first use: the one place a reverse
-        CSR is made. Each row block's keys, the target above the local
-        row's bits, are sorted, then scattered through a cursor per
-        target; blocks come in row order, so every reverse row ascends."""
+        return self._transpose()
+
+    def _transpose(self) -> tuple[np.ndarray, np.ndarray]:
+        """The reverse CSR: the one place it is made. Each row block's
+        keys, the target above the local row's bits, are sorted, then
+        scattered through a cursor per target; blocks come in row order,
+        so every reverse row ascends."""
         offsets, targets = self.fwd_offsets, self.fwd_targets
         rev_offsets = np.zeros(self.node_count + 1, dtype=np.int64)
         np.cumsum(self.in_degrees, out=rev_offsets[1:])
@@ -171,16 +175,18 @@ class DirectedGraph:
         """Whether each forward CSR edge u->v has its reverse v->u: tested on
         first use and kept, the one place the mutual test is made. v->u is
         the entry (row u, source v) of the reverse CSR, so each row block's
-        ``local row * n + neighbor`` keys, ascending on both CSRs, meet."""
+        ``local row * n + neighbor`` keys, ascending on both CSRs, meet. A
+        reverse CSR made here is not kept: only the bow-tie reads it again."""
         n = self.node_count
-        fwd, rev = self.fwd_offsets, self.rev_offsets
+        rev, sources = self.__dict__.get("_reverse") or self._transpose()
+        fwd = self.fwd_offsets
         mask = np.empty(self.edge_count, dtype=bool)
         # blocks cut on both CSRs' entries at once, so neither side runs long
         for lo, hi in _row_blocks(fwd + rev):
             keys = _local_rows(fwd, lo, hi) * n
             keys += self.fwd_targets[fwd[lo] : fwd[hi]]
             rev_keys = _local_rows(rev, lo, hi) * n
-            rev_keys += self.rev_sources[rev[lo] : rev[hi]]
+            rev_keys += sources[rev[lo] : rev[hi]]
             mask[fwd[lo] : fwd[hi]] = _in_sorted(rev_keys, keys)
         return _frozen(mask)
 
@@ -333,6 +339,8 @@ def _check_csr(n: int, offsets: np.ndarray, targets: np.ndarray, ids: np.ndarray
     unless ``ids`` is None or one integer per node."""
     if ids is not None and (getattr(ids, "shape", None) != (n,) or ids.dtype.kind not in "iu"):
         raise ValueError("original ids are not a 1-D integer array of one id per node")
+    if offsets.dtype.kind not in "iu" or targets.dtype.kind not in "iu":
+        raise ValueError("offsets and targets are not integer arrays")
     m = len(targets)
     sizes = np.diff(offsets)
     if n < 0 or len(offsets) != n + 1 or offsets[0] != 0 or offsets[-1] != m or np.any(sizes < 0):
@@ -426,8 +434,8 @@ def exact_product_sum(*factors: np.ndarray) -> int:
 
 # -- edge-list ingest --------------------------------------------------
 
-# The fast path reads decompressed bytes in pieces of about this size,
-# cut at a newline, so its per-byte temporaries stay small.
+# Files are read as decompressed bytes in pieces of about this size, cut
+# at a newline, so the numpy parse's per-byte temporaries stay small.
 _CHUNK_BYTES = 1 << 20
 _FAST_BYTES = b"0123456789 \t\n"
 _COMMENT_LINE = re.compile(rb"^[ \t]*#[^\n]*", re.MULTILINE)
@@ -440,27 +448,48 @@ def build_from_edge_list(source: EdgeListSource) -> tuple[DirectedGraph, IngestR
 
     Each data line holds two ids ``src dst``, each an ASCII ``[0-9]+``
     token within the 64-bit range. Blank lines and lines starting with
-    ``#`` are skipped. Paths ending in gzip data (sniffed by magic
-    bytes, not extension) are decompressed transparently; a corrupt or
-    truncated gzip stream raises :class:`EdgeListParseError`. Files are
-    read as UTF-8: a data line holding other bytes raises
+    ``#`` are skipped. A path, a pipe included, or a binary stream is
+    decompressed transparently when it holds gzip data (sniffed by magic
+    bytes, not extension); a corrupt or truncated gzip stream raises
+    :class:`EdgeListParseError` naming the first line not read whole.
+    Bytes are read as UTF-8: a data line holding other bytes raises
     :class:`EdgeListParseError` naming that line, while a comment line
     is skipped whatever it holds. Self-loops and duplicate edges are
     removed; the returned report accounts for every input line.
 
-    Files whose bytes are all in the common grammar (digits, space, tab
+    A path or binary stream is read once, in pieces of whole lines. A
+    piece whose bytes are all in the common grammar (digits, space, tab
     and ``\n``; comment lines are ``#`` after spaces or tabs; two tokens
-    of at most 18 digits per data line) are parsed whole in numpy. Any
-    other file, and every in-memory source, goes through the line parser,
-    which gives the same result on the common grammar and is the spec
-    for everything else, errors included.
+    of at most 18 digits per data line) is parsed in numpy. Any other
+    piece, and every text source (a text stream or an iterable of
+    lines), goes through the line parser, which gives the same result on
+    the common grammar and is the spec for everything else, errors
+    included. A caller's stream is not closed.
     """
-    # the line parser reads again from the start: a pipe cannot be re-read
-    regular = isinstance(source, (str, Path)) and os.path.isfile(source)
-    edges = _parse_fast(source) if regular else None
-    if edges is None:
-        edges = _parse_lines(source)
+    edges = _EdgeColumns()
+    if isinstance(source, (str, Path, io.BufferedIOBase, io.RawIOBase)):
+        _read_pieces(source, edges)
+    else:
+        _parse_lines(source, edges)
     return edges.build()
+
+
+def _read_pieces(source, edges: _EdgeColumns) -> None:
+    """Give ``edges`` every line of a path or binary stream, a piece at a
+    time: by numpy where the piece is in the common grammar, else by the
+    line parser. A function of its own, so that the last piece and its
+    ids are let go before the graph is built."""
+    try:
+        with _open_decompressed(source) as fh:
+            for chunk in _newline_chunks(fh):
+                ids = _parse_chunk(chunk)
+                if ids is None:
+                    text = io.TextIOWrapper(io.BytesIO(chunk), encoding="utf-8", errors="surrogateescape")
+                    _parse_lines(text, edges)
+                else:
+                    edges.add(ids, chunk.count(b"\n") + (not chunk.endswith(b"\n")))
+    except _GZIP_ERRORS as exc:
+        raise EdgeListParseError(edges.raw + 1, f"corrupt gzip stream: {exc}") from None
 
 
 class _EdgeColumns:
@@ -629,23 +658,6 @@ def _compact(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dense, uniq
 
 
-def _parse_fast(path: str | Path) -> _EdgeColumns | None:
-    """The edge columns of a file in the common grammar, taken a chunk at
-    a time; None when any piece of it falls outside that grammar or its
-    gzip stream breaks, so that the line parser reads it from the start."""
-    edges = _EdgeColumns()
-    try:
-        with _open_decompressed(path) as fh:
-            for chunk in _newline_chunks(fh):
-                ids = _parse_chunk(chunk)
-                if ids is None:
-                    return None
-                edges.add(ids, chunk.count(b"\n") + (not chunk.endswith(b"\n")))
-    except _GZIP_ERRORS:
-        return None  # the line parser names the line where the stream breaks
-    return edges
-
-
 def _newline_chunks(fh) -> Iterator[bytes]:
     """The stream's bytes in pieces of whole lines; only the last piece
     may lack its final newline."""
@@ -692,14 +704,15 @@ def _parse_chunk(chunk: bytes) -> np.ndarray | None:
     return ids if ids.size == starts.size else None
 
 
-def _parse_lines(source: EdgeListSource) -> _EdgeColumns:
-    """The edge columns of ``source`` by the per-line grammar: the spec
-    for every input, and the parser of every input the fast path does not
-    take. Ids go to the columns about every ``_CHUNK_BYTES`` of them."""
-    edges = _EdgeColumns()
+def _parse_lines(lines: Iterable[str], edges: _EdgeColumns) -> None:
+    """Give ``edges`` the ids of ``lines``, numbered on from the lines it
+    has taken, by the per-line grammar: the spec for every input. A byte
+    that is not UTF-8, decoded as a lone surrogate, is in no integer
+    token, so the data line holding it fails under its own number. Ids go
+    to the columns about every ``_CHUNK_BYTES`` of them."""
     ids = array("q")
-    raw = taken = 0
-    for raw, line in _iter_lines(source):
+    raw = taken = edges.raw
+    for raw, line in enumerate(lines, start=edges.raw + 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -721,7 +734,6 @@ def _parse_lines(source: EdgeListSource) -> _EdgeColumns:
             edges.add(np.asarray(ids, dtype=np.int64), raw - taken)
             ids, taken = array("q"), raw
     edges.add(np.asarray(ids, dtype=np.int64), raw - taken)
-    return edges
 
 
 def _line_error(lineno: int, problem: str, line: str) -> EdgeListParseError:
@@ -735,35 +747,20 @@ def _line_error(lineno: int, problem: str, line: str) -> EdgeListParseError:
 
 
 @contextmanager
-def _open_decompressed(path: str | Path) -> Iterator[io.BufferedIOBase]:
-    """The file as a binary stream, gunzipped when it starts with the
-    gzip magic bytes; sniffed without a seek, so a pipe reads whole."""
-    with open(path, "rb") as fh:
-        if fh.peek(2)[:2] == b"\x1f\x8b":
-            with gzip.GzipFile(fileobj=fh) as gz:
-                yield gz
+def _open_decompressed(source) -> Iterator[io.BufferedIOBase]:
+    """A path or binary stream as a binary stream, gunzipped when it
+    starts with the gzip magic bytes; sniffed by a peek, not a seek, so a
+    pipe reads whole. A caller's stream is peeked through a buffer of its
+    own, which is detached, not closed, at the end."""
+    with ExitStack() as stack:
+        if isinstance(source, (str, Path)):
+            fh = stack.enter_context(open(source, "rb"))
         else:
-            yield fh
-
-
-def _iter_lines(source: EdgeListSource) -> Iterator[tuple[int, str]]:
-    if isinstance(source, (str, Path)):
-        # Bytes that are not UTF-8 decode to lone surrogates, which no
-        # integer token accepts: the data line holding them fails to
-        # parse under its own number, at no cost to clean lines.
-        lineno = 0
-        try:
-            with _open_decompressed(source) as raw, io.TextIOWrapper(
-                raw, encoding="utf-8", errors="surrogateescape"
-            ) as text:
-                for lineno, line in enumerate(text, start=1):
-                    yield lineno, line
-        except _GZIP_ERRORS as exc:
-            raise EdgeListParseError(
-                lineno + 1, f"corrupt gzip stream: {exc}"
-            ) from None
-        return
-    yield from enumerate(source, start=1)  # type: ignore[arg-type]
+            fh = io.BufferedReader(source)
+            stack.callback(fh.detach)
+        if fh.peek(2)[:2] == b"\x1f\x8b":
+            fh = stack.enter_context(gzip.GzipFile(fileobj=fh))
+        yield fh
 
 
 # -- binary cache ------------------------------------------------------

@@ -91,6 +91,16 @@ class TestGenerate:
             decompose(g).reciprocity_fraction()
         )
 
+    def test_graph_is_transposed_once_for_the_mask_and_the_bowtie(self, monkeypatch):
+        # the bias report's bow-tie reads the reverse CSR the mask was tested on
+        calls = []
+        transpose = DirectedGraph._transpose
+        monkeypatch.setattr(DirectedGraph, "_transpose", lambda g: calls.append(g) or transpose(g))
+        cfg = GeneratorConfig(2000, PoissonDegreeLaw(4.0), PoissonDegreeLaw(4.0), 0.3, rng_seed=5)
+        g, _ = generate(cfg)
+        crawl_sim.graph_statistics(g)
+        assert calls == [g]
+
     def test_zero_reciprocity(self):
         cfg = GeneratorConfig(
             node_count=3000,

@@ -1,8 +1,11 @@
 import gzip
 import io
+import os
 import pickle
 import tempfile
+import threading
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -66,16 +69,17 @@ def _both_ends_in(g, nodes):
 
 
 def build(text):
-    """Ingest ``text`` from a StringIO, a plain file and a gzip file:
-    the line parser reads the first, the vectorised path the files when
-    they are in its grammar. All three must give the same graph and
-    report, or the same error, which is then raised."""
+    """Ingest ``text`` from a StringIO, a BytesIO, a plain file and a gzip
+    file: the line parser reads the first, the piece reader the others,
+    in numpy where a piece is in the common grammar. All four must give
+    the same graph and report, or the same error, which is then raised."""
     raw = text.encode()
     with tempfile.TemporaryDirectory() as tmp:
         plain, packed = Path(tmp) / "edges.txt", Path(tmp) / "edges.dat"
         plain.write_bytes(raw)
         packed.write_bytes(gzip.compress(raw))
-        first, *others = [_outcome(s) for s in (io.StringIO(text), plain, packed)]
+        sources = (io.StringIO(text), io.BytesIO(raw), plain, packed)
+        first, *others = [_outcome(s) for s in sources]
     for other in others:
         _assert_same_outcome(first, other)
     if isinstance(first, Exception):
@@ -85,13 +89,24 @@ def build(text):
 
 def _fast_and_loop(path):
     """The outcome of ingesting ``path``, after checking that the line
-    parser alone gives the same one."""
+    parser alone, given every piece, gives the same one."""
     fast = _outcome(path)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph_module, "_parse_fast", lambda path: None)
+        mp.setattr(graph_module, "_parse_chunk", lambda chunk: None)
         loop = _outcome(path)
     _assert_same_outcome(fast, loop)
     return fast
+
+
+def _pieces(path):
+    """The pieces the reader cuts from ``path``, decompressed."""
+    with graph_module._open_decompressed(path) as fh:
+        return list(graph_module._newline_chunks(fh))
+
+
+def _in_grammar(path):
+    """Whether numpy parses every piece of ``path``."""
+    return all(graph_module._parse_chunk(chunk) is not None for chunk in _pieces(path))
 
 
 def _chunk_case(case):
@@ -269,7 +284,7 @@ class TestIngest:
         whole = _fast_and_loop(p)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graph_module, "_CHUNK_BYTES", chunk)
-            assert len(graph_module._parse_fast(p).pieces) > 1
+            assert len(_pieces(p)) > 1
             cut = _fast_and_loop(p)
         assert save_cache(cut[0]) == save_cache(whole[0])
         assert cut[1] == whole[1]
@@ -294,8 +309,8 @@ class TestIngest:
 
 
 class TestFastPath:
-    """Files the vectorised path takes, and files it hands to the line
-    parser: both must give the line parser's outcome exactly."""
+    """Pieces numpy parses, and pieces it hands to the line parser: both
+    must give the line parser's outcome exactly."""
 
     @pytest.mark.parametrize(
         "raw, fast",
@@ -324,7 +339,7 @@ class TestFastPath:
     def test_matches_line_parser(self, tmp_path, raw, fast, compress):
         p = tmp_path / "edges.txt"
         p.write_bytes(gzip.compress(raw) if compress else raw)
-        assert (graph_module._parse_fast(p) is not None) == fast
+        assert _in_grammar(p) == fast
         _fast_and_loop(p)
 
     def test_results_of_pinned_cases(self, tmp_path):
@@ -348,7 +363,7 @@ class TestFastPath:
         clean = b"# head\n" + b"".join(b"%d %d\n" % (i, i + 1) for i in range(40))
         p = tmp_path / "edges.txt"
         p.write_bytes(gzip.compress(clean) if compress else clean)
-        assert graph_module._parse_fast(p) is not None
+        assert _in_grammar(p)
         g, rep = _fast_and_loop(p)
         assert (rep.raw_lines, rep.edges, g.node_count) == (41, 40, 41)
 
@@ -356,6 +371,73 @@ class TestFastPath:
         p.write_bytes(gzip.compress(bad) if compress else bad)
         err = _fast_and_loop(p)
         assert isinstance(err, EdgeListParseError) and err.line_number == 42
+
+    def test_only_the_piece_outside_the_grammar_goes_to_the_line_parser(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(graph_module, "_CHUNK_BYTES", 16)
+        last = "5 9223372036854775807\n"  # a 19-digit id
+        p = tmp_path / "edges.txt"
+        p.write_text("".join(f"{i} {i + 1}\n" for i in range(40)) + last)
+        taken, parse_lines = [], graph_module._parse_lines
+
+        def spy(lines, edges):
+            lines = list(lines)
+            taken.append(lines)
+            parse_lines(lines, edges)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(graph_module, "_parse_lines", spy)
+            g, rep = build_from_edge_list(p)
+        assert taken == [[last]]
+        _assert_same_outcome((g, rep), _fast_and_loop(p))
+        assert (rep.raw_lines, rep.edges, g.original_ids[-1]) == (41, 41, 2**63 - 1)
+
+    def test_cut_gzip_stream_names_a_line_no_later_than_the_first_lost(self, tmp_path, monkeypatch):
+        chunk = 4096
+        monkeypatch.setattr(graph_module, "_CHUNK_BYTES", chunk)
+        pairs = np.random.default_rng(29).integers(0, 10**6, (20_000, 2))
+        packed = gzip.compress(b"".join(b"%d %d\n" % (a, b) for a, b in pairs))
+        p = tmp_path / "edges.gz"
+        p.write_bytes(packed[: len(packed) // 2])
+        read = zlib.decompressobj(31).decompress(p.read_bytes())  # all the cut stream holds
+        assert len(read) > 4 * chunk
+        with pytest.raises(EdgeListParseError, match="corrupt gzip stream") as err:
+            build_from_edge_list(p)
+        # a failed read loses at most one block and the line it cut
+        assert read.count(b"\n", 0, len(read) - 2 * chunk) < err.value.line_number
+        assert err.value.line_number <= read.count(b"\n") + 1
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+    def test_pipe_reads_as_the_file(self, tmp_path, monkeypatch, compress):
+        monkeypatch.setattr(graph_module, "_CHUNK_BYTES", 64)
+        raw = (_chunk_case("dense-then-40-bit") + "3 4\r\n" + _chunk_case("40-bit")).encode()
+        data = gzip.compress(raw) if compress else raw
+        p, fifo = tmp_path / "edges.txt", tmp_path / "edges.fifo"
+        p.write_bytes(data)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()  # blocks in open until the reader opens the pipe
+        g, rep = build_from_edge_list(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        want_g, want_rep = build_from_edge_list(p)
+        assert save_cache(g) == save_cache(want_g) and rep == want_rep
+
+    @pytest.mark.parametrize(
+        "stream",
+        [lambda p: io.BytesIO(p.read_bytes()), lambda p: open(p, "rb"), lambda p: open(p, "rb", buffering=0)],
+        ids=["bytesio", "buffered", "raw"],
+    )
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+    def test_binary_streams_read_as_the_path(self, tmp_path, stream, compress):
+        raw = (_chunk_case("40-bit") + "1 2\r\n").encode()
+        p = tmp_path / "edges.txt"
+        p.write_bytes(gzip.compress(raw) if compress else raw)
+        want_g, want_rep = build_from_edge_list(p)
+        with stream(p) as fh:
+            g, rep = build_from_edge_list(fh)
+            assert not fh.closed  # the caller's stream is left open
+        assert save_cache(g) == save_cache(want_g) and rep == want_rep
 
 
 class TestGraphStructure:
@@ -397,6 +479,14 @@ class TestGraphStructure:
     @pytest.mark.parametrize("src, dst", [([0, 1, 2], [1]), ([0, 1], [1, 2, 0])])
     def test_from_edges_rejects_columns_of_two_lengths(self, src, dst):
         with pytest.raises(ValueError, match=r"src and dst differ in length \(\d and \d\)"):
+            DirectedGraph.from_edges(3, src, dst)
+
+    @pytest.mark.parametrize(
+        "src, dst", [([0.5, 1.2], [1.7, 2.9]), (np.array([True]), np.array([False]))], ids=["float", "bool"]
+    )
+    def test_from_edges_rejects_non_integer_endpoints(self, src, dst):
+        # unchecked, the floats were cut to the edges 0->1 and 1->2
+        with pytest.raises(ValueError, match="edge endpoints are not integers"):
             DirectedGraph.from_edges(3, src, dst)
 
     @pytest.mark.parametrize("build", [DirectedGraph.from_edges, _csr_from_edges])
@@ -479,6 +569,17 @@ class TestConstructorChecks:
     def test_faulty_csr_rejected(self, cls, offsets, row0, message):
         with pytest.raises(ValueError, match=message):
             cls(4, np.array(offsets), np.array(row0, dtype=np.int32))
+
+    @pytest.mark.parametrize(
+        "offsets, targets",
+        [([0, 1, 1], [1.0]), ([0, 1, 1], [True]), ([0.0, 1.0, 1.0], np.array([1], dtype=np.int32))],
+        ids=["float-targets", "bool-targets", "float-offsets"],
+    )
+    def test_non_integer_csr_rejected(self, cls, offsets, targets):
+        # unchecked, float targets failed later in in_degrees and float
+        # offsets raised TypeError from a slice
+        with pytest.raises(ValueError, match="offsets and targets are not integer arrays"):
+            cls(2, np.array(offsets), np.array(targets))
 
     def test_rows_ascend_each_on_its_own(self, cls):
         # rows [2, 3], [], [1] and []: targets fall where a row starts
@@ -682,6 +783,15 @@ def test_reverse_csr_and_mutual_mask_hold_a_few_bytes_an_edge():
     finally:
         tracemalloc.stop()
     assert peak <= 20 * g.edge_count, peak / g.edge_count
+
+
+def test_mutual_keeps_only_a_reverse_csr_made_before_it():
+    edges = [(0, 1), (1, 0), (1, 2), (2, 0), (3, 4), (4, 2)]
+    g, h = graph_of(5, edges), graph_of(5, edges)
+    assert g.mutual.tolist() == [True, True, False, False, False, False]
+    assert "_reverse" not in vars(g)  # the transpose it made is let go
+    rev = h.rev_sources
+    assert np.array_equal(h.mutual, g.mutual) and h.rev_sources is rev
 
 
 @pytest.mark.parametrize(
