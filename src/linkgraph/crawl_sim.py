@@ -37,7 +37,7 @@ from .degree_stats import (
     summarize,
 )
 from .errors import GenerationError, ProvenanceError, value_or_note
-from .graph import DirectedGraph, _csr_from_edges, _restrict, sorted_unique
+from .graph import DirectedGraph, _csr_from_keys, _restrict, sorted_unique
 from .reciprocity import decompose
 
 # -- degree laws --------------------------------------------------------
@@ -154,8 +154,10 @@ class GenerationReport:
 def _balance_sequences(
     kin: np.ndarray, kout: np.ndarray, in_law, out_law, rng: np.random.Generator
 ) -> int:
-    """Equalize stub totals by adjusting a drawn side; explicit pairs
-    that disagree are an error."""
+    """Equalize stub totals in place: a drawn short side gains the missing
+    stubs at uniformly drawn nodes; an explicit short side is kept and the
+    long side loses a uniform sample of its stubs. Explicit pairs that
+    disagree are an error."""
     in_explicit = isinstance(in_law, ExplicitDegreeLaw)
     out_explicit = isinstance(out_law, ExplicitDegreeLaw)
     diff = int(kin.sum() - kout.sum())
@@ -165,34 +167,19 @@ def _balance_sequences(
         raise GenerationError(
             f"explicit sequences cannot be matched: sum(in) - sum(out) = {diff}"
         )
-
-    def add(seq: np.ndarray, amount: int) -> None:
-        idx = rng.integers(0, len(seq), size=amount)
-        np.add.at(seq, idx, 1)
-
-    def remove(seq: np.ndarray, amount: int) -> None:
-        stubs = np.repeat(np.arange(len(seq), dtype=np.int64), seq)
-        pick = rng.choice(len(stubs), size=amount, replace=False)
-        np.subtract.at(seq, stubs[pick], 1)
-
-    if diff > 0:  # out side is short
-        if not out_explicit:
-            add(kout, diff)
-        else:
-            remove(kin, diff)
+    short, long, short_explicit = (kout, kin, out_explicit) if diff > 0 else (kin, kout, in_explicit)
+    if short_explicit:
+        long -= rng.multivariate_hypergeometric(long, abs(diff), method="count")
     else:
-        if not in_explicit:
-            add(kin, -diff)
-        else:
-            remove(kout, -diff)
+        short += np.bincount(rng.integers(0, len(short), abs(diff)), minlength=len(short))
     return abs(diff)
 
 
 def _match_undirected(rng: np.random.Generator, deg: np.ndarray):
     """Undirected stub matching of an even stub total: shuffle the stubs
     of ``deg`` and pair adjacent slots. Self-pairs and repeated pairs are
-    dropped; returns the kept pairs as ``(lo, hi)`` with ``lo < hi``, then
-    the number of self pairs and of duplicate pairs."""
+    dropped; returns the sorted keys ``lo * n + hi`` (``lo < hi``) of the
+    kept pairs, then the number of self pairs and of duplicate pairs."""
     n = len(deg)
     slots = np.repeat(np.arange(n, dtype=np.int64), deg)
     rng.shuffle(slots)
@@ -200,20 +187,23 @@ def _match_undirected(rng: np.random.Generator, deg: np.ndarray):
     keep = a != b
     a, b = a[keep], b[keep]
     pair_keys = sorted_unique(np.minimum(a, b) * n + np.maximum(a, b))
-    return pair_keys // n, pair_keys % n, len(keep) - len(a), len(a) - len(pair_keys)
+    return pair_keys, len(keep) - len(a), len(a) - len(pair_keys)
 
 
 def _match_directed(rng: np.random.Generator, rem_in: np.ndarray, rem_out: np.ndarray):
-    """Plain stub matching of whatever stubs remain; self-loops dropped."""
+    """Directed stub matching of equal stub totals: the in-stubs, shuffled
+    once, meet the out-stubs in node order, which is a uniform matching.
+    Returns the keys ``u * n + v`` of the edges that are not self-loops,
+    then the number of self-loops."""
     n = len(rem_in)
-    out_stream = np.repeat(np.arange(n, dtype=np.int64), rem_out)
-    in_stream = np.repeat(np.arange(n, dtype=np.int64), rem_in)
-    rng.shuffle(out_stream)
-    rng.shuffle(in_stream)
-    m = min(len(out_stream), len(in_stream))
-    u, v = out_stream[:m], in_stream[:m]
+    u = np.repeat(np.arange(n, dtype=np.int64), rem_out)
+    v = np.repeat(np.arange(n, dtype=np.int64), rem_in)
+    rng.shuffle(v)
     keep = u != v
-    return u[keep], v[keep], int(m - keep.sum())
+    u *= n
+    u += v
+    del v
+    return u[keep], len(keep) - int(np.count_nonzero(keep))
 
 
 def _wire(
@@ -223,13 +213,13 @@ def _wire(
     pair the mutual stubs ``qr`` (an even total) by undirected stub
     matching, then match the one-way stubs ``qin`` and ``qout``.
     ``fields`` are the report fields fixed before wiring."""
-    lo, hi, self_m, dup_m = _match_undirected(rng, qr)
-    du, dv, self_d = _match_directed(rng, qin, qout)
     n = len(qr)
-    u, v = np.concatenate([lo, hi, du]), np.concatenate([hi, lo, dv])
-    graph = DirectedGraph(n, *_csr_from_edges(n, u, v))
-    placed, wired = len(lo), len(u)
-    del lo, hi, du, dv, u, v  # 16 bytes an edge that the mutual mask need not share
+    pairs, self_m, dup_m = _match_undirected(rng, qr)
+    one_way, self_d = _match_directed(rng, qin, qout)
+    keys = np.concatenate([pairs, pairs % n * n + pairs // n, one_way])
+    placed, wired = len(pairs), len(keys)
+    del pairs, one_way  # only the key column is held while the kernel sorts it
+    graph = DirectedGraph(n, *_csr_from_keys(n, keys))
     graph.rev_offsets  # the mask's reverse CSR, kept: every caller's bow-tie reads it later
     realized = np.count_nonzero(graph.mutual) / graph.edge_count if graph.edge_count else None
     return graph, GenerationReport(
@@ -281,8 +271,7 @@ def generate(cfg: GeneratorConfig) -> tuple[DirectedGraph, GenerationReport]:
             f"sequences; maximum feasible fraction is {max_frac:.4f}"
         )
 
-    stubs = np.repeat(np.arange(n, dtype=np.int64), offer)
-    qr = np.bincount(rng.choice(stubs, size=2 * target_pairs, replace=False), minlength=n)
+    qr = rng.multivariate_hypergeometric(offer, 2 * target_pairs, method="count")
     kin -= qr
     kout -= qr
     stubs_dropped = 0

@@ -90,6 +90,8 @@ class DirectedGraph:
         """Build a graph from dense-id edge arrays given from outside: ids
         are range-checked, self-loops and duplicate edges are dropped."""
         n = int(node_count)
+        if n > _MAX_NODES:  # before n * src, which numpy cannot form past int64
+            raise ValueError(f"node count {n} exceeds supported maximum {_MAX_NODES}")
         src, dst = np.asarray(src), np.asarray(dst)
         if src.shape != dst.shape:
             raise ValueError(f"src and dst differ in length ({src.size} and {dst.size})")
@@ -102,7 +104,7 @@ class DirectedGraph:
             if lo < 0 or hi >= n:
                 raise ValueError("edge endpoint outside 0..node_count-1")
         keep = src != dst
-        return cls(n, *_csr_from_edges(n, src[keep], dst[keep]), original_ids)
+        return cls(n, *_csr_from_keys(n, src[keep] * n + dst[keep]), original_ids)
 
     # -- basic accessors ----------------------------------------------
 
@@ -377,16 +379,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _csr_from_edges(n: int, src: np.ndarray, dst: np.ndarray):
-    """Sorted CSR (offsets, targets) of the distinct edges given by
-    parallel arrays of ids in ``0..n-1``, none a self-loop."""
-    if n > _MAX_NODES:
-        raise ValueError(f"node count {n} exceeds supported maximum {_MAX_NODES}")
-    keys = np.multiply(src, n, dtype=np.int64)
-    keys += dst
-    return _csr_from_keys(n, keys)
-
-
 def _csr_from_keys(n: int, keys: np.ndarray):
     """Sorted CSR (offsets, targets) of the distinct edges whose keys
     ``src*n+dst`` fill ``keys``, an int64 array that no one else holds:
@@ -394,6 +386,8 @@ def _csr_from_keys(n: int, keys: np.ndarray):
     then each target is written over bytes of keys already read, and the
     buffer is cut to the targets' length; so the kernel holds 8 bytes an
     edge and, once done, 4."""
+    if n > _MAX_NODES:
+        raise ValueError(f"node count {n} exceeds supported maximum {_MAX_NODES}")
     keys.sort()
     m = last = 0
     for lo in range(0, len(keys), _BLOCK_EDGES):  # a block's first keys move down to m
@@ -749,18 +743,34 @@ def _line_error(lineno: int, problem: str, line: str) -> EdgeListParseError:
 @contextmanager
 def _open_decompressed(source) -> Iterator[io.BufferedIOBase]:
     """A path or binary stream as a binary stream, gunzipped when it
-    starts with the gzip magic bytes; sniffed by a peek, not a seek, so a
-    pipe reads whole. A caller's stream is peeked through a buffer of its
-    own, which is detached, not closed, at the end."""
+    starts with the gzip magic bytes, read once, a pipe included. A caller's
+    stream is read through a buffer of its own, detached, not closed, at the end."""
     with ExitStack() as stack:
         if isinstance(source, (str, Path)):
             fh = stack.enter_context(open(source, "rb"))
         else:
             fh = io.BufferedReader(source)
             stack.callback(fh.detach)
-        if fh.peek(2)[:2] == b"\x1f\x8b":
+        head = fh.read(2)  # not a peek, which reads once: a pipe may hold one byte so far
+        fh = io.BufferedReader(_Prefixed(head, fh))
+        if head == b"\x1f\x8b":
             fh = stack.enter_context(gzip.GzipFile(fileobj=fh))
         yield fh
+
+
+class _Prefixed(io.RawIOBase):
+    """The bytes ``head``, then the rest of ``fh``, which closing this leaves open."""
+
+    def __init__(self, head: bytes, fh: io.BufferedIOBase):
+        self.head, self.fh = head, fh
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        k = min(len(buffer), len(self.head))
+        buffer[:k], self.head = self.head[:k], self.head[k:]
+        return k or self.fh.readinto(buffer)
 
 
 # -- binary cache ------------------------------------------------------
@@ -831,9 +841,9 @@ def load_cache(data: bytes) -> DirectedGraph:
 def undirected_view(g: DirectedGraph) -> UndirectedGraph:
     """Undirected projection: neighbors are the union of in- and
     out-neighbors, mutual pairs collapse to one edge."""
-    u, v = g.fwd_rows, g.fwd_targets
-    off, tgt = _csr_from_edges(g.node_count, np.concatenate([u, v]), np.concatenate([v, u]))
-    return UndirectedGraph(g.node_count, off, tgt, g.original_ids)
+    n, u, v = g.node_count, g.fwd_rows, g.fwd_targets
+    keys = np.multiply(np.concatenate([u, v]), n, dtype=np.int64) + np.concatenate([v, u])
+    return UndirectedGraph(n, *_csr_from_keys(n, keys), g.original_ids)
 
 
 def _restrict(g: DirectedGraph, nodes: np.ndarray, keep_edges: np.ndarray) -> DirectedGraph:

@@ -1,5 +1,6 @@
 import multiprocessing
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,19 @@ class TestGenerate:
                 + rep.stubs_dropped // 2
             )
 
+    def test_explicit_short_side_keeps_its_degrees(self):
+        # the drawn out side is long, so it loses stubs and the in side stays
+        n = 2000
+        for seed in range(4):
+            cfg = GeneratorConfig(n, ExplicitDegreeLaw((1,) * n), PoissonDegreeLaw(3.0), 0.3, seed)
+            g, rep = generate(cfg)
+            assert rep.requested_edges == n
+            assert rep.requested_edges == (
+                rep.edge_count + rep.self_loops_discarded + rep.duplicates_discarded
+            )
+            assert rep.balance_adjustments > 0
+            assert g.in_degrees.max() <= 1
+
     def test_mutual_target_is_met(self):
         # heavy-tailed in-degrees: hubs must place many mutual pairs
         in_law = ZetaDegreeLaw(2.1, 1, 3000)
@@ -273,6 +287,76 @@ class TestGenerateDecomposed:
             2000, PoissonDegreeLaw(2.0), PoissonDegreeLaw(2.0), PoissonDegreeLaw(1.0), rng_seed=23
         )
         assert same_structure(a, b)
+
+
+class TestDraws:
+    """The generator's random draws, each against the distribution it
+    must sample, over many seeds."""
+
+    def test_directed_matching_is_uniform(self):
+        # three out-stubs at nodes 0-2 meet three in-stubs at nodes 3-5
+        out_stubs = np.array([1, 1, 1, 0, 0, 0])
+        in_stubs = out_stubs[::-1].copy()
+        counts = {}
+        for seed in range(6000):
+            keys, loops = crawl_sim._match_directed(np.random.default_rng(seed), in_stubs, out_stubs)
+            assert loops == 0
+            assert list(keys // 6) == [0, 1, 2]  # the out-stubs stay in node order
+            matching = tuple(keys % 6)
+            counts[matching] = counts.get(matching, 0) + 1
+        sd = np.sqrt(6000 * (1 / 6) * (5 / 6))
+        assert len(counts) == 6
+        assert all(abs(c - 1000) < 5 * sd for c in counts.values()), counts
+
+    def test_undirected_matching_is_uniform(self):
+        # four single stubs pair up in three ways, {01, 23}, {02, 13} and {03, 12}
+        counts = {}
+        for seed in range(6000):
+            keys, self_pairs, dups = crawl_sim._match_undirected(
+                np.random.default_rng(seed), np.ones(4, dtype=np.int64)
+            )
+            assert (self_pairs, dups) == (0, 0)
+            counts[tuple(keys)] = counts.get(tuple(keys), 0) + 1
+        sd = np.sqrt(6000 * (1 / 3) * (2 / 3))
+        assert set(counts) == {(1, 11), (2, 7), (3, 6)}
+        assert all(abs(c - 2000) < 5 * sd for c in counts.values()), counts
+
+    @staticmethod
+    def _within(draws: np.ndarray, total: int, weights: np.ndarray) -> None:
+        """Per-node means of ``draws`` (one row per seed) within 5 standard
+        errors of a hypergeometric sample of ``total`` from ``weights``."""
+        pool = weights.sum()
+        p = weights / pool
+        var = total * p * (1 - p) * (pool - total) / (pool - 1)
+        err = np.abs(draws.mean(axis=0) - total * p)
+        assert (err <= 5 * np.sqrt(var / len(draws)) + 1e-12).all(), err
+
+    def test_reservation_is_proportional_to_the_offer(self, monkeypatch):
+        kin = (4, 3, 2, 1, 0, 6, 5)
+        kout = (2, 3, 4, 1, 6, 0, 5)
+        offer = np.minimum(kin, kout)  # 2 3 2 1 0 0 5: 13 stubs
+        monkeypatch.setattr(crawl_sim, "_wire", lambda rng, qin, qout, qr, **fields: qr)
+        draws = np.array([
+            generate(GeneratorConfig(7, ExplicitDegreeLaw(kin), ExplicitDegreeLaw(kout), 0.4, seed))
+            for seed in range(3000)
+        ])
+        assert (draws.sum(axis=1) == 8).all()  # round(0.4 * 21 / 2) pairs
+        assert (draws <= offer).all()
+        self._within(draws, 8, offer)
+
+    def test_removal_is_proportional_to_the_drawn_degree(self):
+        drawn = np.array([0, 1, 2, 3, 4, 5, 9])  # 24 out-stubs against 7 in-stubs
+        removed = []
+        for seed in range(3000):
+            kin, kout = np.ones(7, dtype=np.int64), drawn.copy()
+            adjustments = crawl_sim._balance_sequences(
+                kin, kout, ExplicitDegreeLaw((1,) * 7), PoissonDegreeLaw(3.0), np.random.default_rng(seed)
+            )
+            assert adjustments == 17 and kout.sum() == 7 and (kin == 1).all()
+            removed.append(drawn - kout)
+        removed = np.array(removed)
+        assert (removed >= 0).all()
+        self._within(removed, 17, drawn)
 
 
 class TestSimulateCrawl:
@@ -462,6 +546,20 @@ class TestBiasReport:
         )
         with pytest.raises(ProvenanceError):
             bias_report(b, out)
+
+
+def test_generate_holds_a_few_bytes_an_edge():
+    # the stub lists and the edge columns took about 47 bytes an edge
+    n = 200_000
+    in_law = ZetaDegreeLaw(1.9, 1, n // 30)
+    cfg = GeneratorConfig(n, in_law, PoissonDegreeLaw(law_mean(in_law)), 0.2, rng_seed=7)
+    tracemalloc.start()
+    try:
+        g, _ = generate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30 * g.edge_count, peak / g.edge_count
 
 
 class TestEnsemble:

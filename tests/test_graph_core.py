@@ -4,6 +4,7 @@ import os
 import pickle
 import tempfile
 import threading
+import time
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -27,7 +28,7 @@ from linkgraph import (
 from linkgraph import graph as graph_module
 from linkgraph.correlations import _neighbor_sums
 from linkgraph.graph import (
-    _csr_from_edges,
+    _csr_from_keys,
     _filter_csr,
     _in_sorted,
     _restrict,
@@ -407,15 +408,26 @@ class TestFastPath:
         assert err.value.line_number <= read.count(b"\n") + 1
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("first_byte_alone", [False, True], ids=["whole", "first-byte-alone"])
     @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
-    def test_pipe_reads_as_the_file(self, tmp_path, monkeypatch, compress):
+    def test_pipe_reads_as_the_file(self, tmp_path, monkeypatch, compress, first_byte_alone):
         monkeypatch.setattr(graph_module, "_CHUNK_BYTES", 64)
         raw = (_chunk_case("dense-then-40-bit") + "3 4\r\n" + _chunk_case("40-bit")).encode()
         data = gzip.compress(raw) if compress else raw
         p, fifo = tmp_path / "edges.txt", tmp_path / "edges.fifo"
         p.write_bytes(data)
         os.mkfifo(fifo)
-        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+
+        def write():
+            with open(fifo, "wb", buffering=0) as fh:
+                if first_byte_alone:  # a gzip sniff that decides on one byte reads text
+                    fh.write(data[:1])
+                    time.sleep(0.3)
+                    fh.write(data[1:])
+                else:
+                    fh.write(data)
+
+        writer = threading.Thread(target=write, daemon=True)
         writer.start()  # blocks in open until the reader opens the pipe
         g, rep = build_from_edge_list(fifo)
         writer.join(timeout=10)
@@ -489,13 +501,18 @@ class TestGraphStructure:
         with pytest.raises(ValueError, match="edge endpoints are not integers"):
             DirectedGraph.from_edges(3, src, dst)
 
-    @pytest.mark.parametrize("build", [DirectedGraph.from_edges, _csr_from_edges])
+    @pytest.mark.parametrize(
+        "build",
+        [lambda n, empty: DirectedGraph.from_edges(n, empty, empty), _csr_from_keys],
+        ids=["from_edges", "_csr_from_keys"],
+    )
     def test_node_count_beyond_int32_targets_raises_before_allocating(self, build):
         empty = np.empty(0, dtype=np.int64)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="exceeds supported maximum"):
-                build(2**31, empty, empty)
+            for n in (2**31, 2**63):  # n * id past int64 must not be formed first
+                with pytest.raises(ValueError, match="exceeds supported maximum"):
+                    build(n, empty)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -733,7 +750,7 @@ class TestBlocks:
         pick = rng.permutation(np.repeat(np.arange(len(edges)), rng.integers(1, 4, len(edges))))
         src = np.array([edges[i][0] for i in pick], dtype=np.int64)
         dst = np.array([edges[i][1] for i in pick], dtype=np.int32)
-        off, tgt = _csr_from_edges(g.node_count, src, dst)
+        off, tgt = _csr_from_keys(g.node_count, src * g.node_count + dst)
         distinct = sorted(set(edges))
         rows = np.bincount([u for u, _ in distinct], minlength=g.node_count)
         assert off.tolist() == [0, *np.cumsum(rows, dtype=int).tolist()]
