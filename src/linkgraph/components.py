@@ -78,30 +78,68 @@ def strongly_connected_components(g: DirectedGraph) -> tuple[np.ndarray, np.ndar
 
 
 def _adjacency(offsets: np.ndarray, targets: np.ndarray):
-    """The CSR as a scipy matrix; scipy loads on a command's first traversal."""
+    """The CSR as a scipy matrix; scipy loads on a command's first traversal.
+    Its weights are one float64 with stride 0: the traversals read none,
+    and scipy takes it without a copy (a bool or narrow column is copied
+    to float64)."""
     from scipy.sparse import csr_matrix
 
     n = len(offsets) - 1
-    return csr_matrix((np.ones(len(targets)), targets, offsets), shape=(n, n))
+    ones = np.broadcast_to(np.float64(1.0), targets.shape)
+    return csr_matrix((ones, targets, offsets), shape=(n, n))
+
+
+def _largest_core(g: DirectedGraph) -> np.ndarray:
+    """Mask of the largest strong component, ties to the one holding the
+    smallest node id: from scipy's raw labels, with no renumbering."""
+    from scipy.sparse.csgraph import connected_components as _cc
+
+    _, labels = _cc(_adjacency(g.fwd_offsets, g.fwd_targets), connection="strong")
+    sizes = np.bincount(labels)
+    tied = sizes == sizes.max()
+    return labels == labels[np.argmax(tied[labels])]
 
 
 def _reach_mask(offsets: np.ndarray, targets: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     """Boolean mask of nodes reachable from ``seeds`` along one CSR
     direction, seeds included.
 
-    One compiled breadth-first search from a virtual super-source, node
-    ``n``, whose row lists the seeds: the cost is linear in nodes plus
-    edges whatever the graph's depth.
+    One compiled breadth-first search: from the seed itself when there
+    is one, else from a virtual super-source, node ``n``, whose row lists
+    the seeds. The cost is linear in nodes plus edges whatever the
+    graph's depth.
     """
     from scipy.sparse.csgraph import breadth_first_order
 
     n = len(offsets) - 1
-    mat = _adjacency(
-        np.append(offsets, offsets[-1] + len(seeds)), np.concatenate([targets, seeds])
-    )
-    reached = np.zeros(n + 1, dtype=bool)
-    reached[breadth_first_order(mat, n, return_predecessors=False)] = True
+    if len(seeds) == 1:
+        start = seeds[0]
+    else:
+        start = n
+        offsets = np.append(offsets, offsets[-1] + len(seeds))
+        targets = np.concatenate([targets, seeds], dtype=targets.dtype)
+    order = breadth_first_order(_adjacency(offsets, targets), start, return_predecessors=False)
+    reached = np.zeros(len(offsets) - 1, dtype=bool)
+    reached[order] = True
     return reached[:n]
+
+
+def _both_ways(g: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR whose row i is node i's out-row followed by its in-row:
+    its reach from a node is the node's weak component."""
+    fwd, rev = g.fwd_offsets, g.rev_offsets
+    offsets = fwd + rev
+    targets = np.empty(offsets[-1], dtype=np.int32)
+    for lo, hi in _row_blocks(offsets):
+        # an out-entry moves on by the in-rows before it, an in-entry by
+        # the out-rows up to and including its own
+        at = np.repeat(rev[lo:hi], np.diff(fwd[lo : hi + 1]))
+        at += np.arange(fwd[lo], fwd[hi])
+        targets[at] = g.fwd_targets[fwd[lo] : fwd[hi]]
+        at = np.repeat(fwd[lo + 1 : hi + 1], np.diff(rev[lo : hi + 1]))
+        at += np.arange(rev[lo], rev[hi])
+        targets[at] = g.rev_sources[rev[lo] : rev[hi]]
+    return offsets, targets
 
 
 # Steps a numpy frontier search takes before it gives way. A step is a
@@ -156,10 +194,7 @@ def _compiled_search(g: DirectedGraph, way: str, blocked, seeds: np.ndarray) -> 
     walks through ``blocked``: equal when nothing else is reached only
     through it. Over "both" directions: the first seed's weak component."""
     if way == "both":
-        from scipy.sparse.csgraph import connected_components as _cc
-
-        _, labels = _cc(_adjacency(g.fwd_offsets, g.fwd_targets), connection="weak")
-        return labels == labels[seeds[0]]
+        return _reach_mask(*_both_ways(g), seeds[:1])
     fwd, rev = (g.fwd_offsets, g.fwd_targets), (g.rev_offsets, g.rev_sources)
     reached = _reach_mask(*(fwd if way == "out" else rev), seeds)
     return reached if blocked is None else reached | blocked
@@ -174,7 +209,8 @@ def _classes(g: DirectedGraph, search):
     core, inside its backward reach less its core, or outside both, so a
     core larger than each of those three counts is the largest. Else one
     strong-component pass names the largest, and the reaches are taken
-    again from it when the pivot lies outside it.
+    again from its first node when the pivot lies outside it: one core
+    node reaches what the whole core reaches.
     """
     # degrees from the offsets: the cached degree arrays would outlive the call
     seeds = np.argmax(np.diff(g.fwd_offsets) * np.diff(g.rev_offsets), keepdims=True)
@@ -183,12 +219,9 @@ def _classes(g: DirectedGraph, search):
     out_, in_ = fwd_reach & ~scc, rev_reach & ~scc
     outside = g.node_count - np.count_nonzero(fwd_reach | rev_reach)
     if np.count_nonzero(scc) <= max(np.count_nonzero(out_), np.count_nonzero(in_), outside):
-        labels, comp_sizes = strongly_connected_components(g)
-        # labels are numbered by first occurrence, so argmax's first largest
-        # label is the tied component containing the smallest node id
-        core = labels == np.argmax(comp_sizes)
+        core = _largest_core(g)
         if not core[seeds[0]]:
-            scc, seeds = core, np.flatnonzero(core)
+            scc, seeds = core, np.argmax(core, keepdims=True)
             fwd_reach, rev_reach = search(g, "out", None, seeds), search(g, "in", None, seeds)
             out_, in_ = fwd_reach & ~scc, rev_reach & ~scc
     main = scc | in_ | out_

@@ -105,8 +105,13 @@ def partition_text(part: BowTiePartition) -> str:
 
 
 def partition_classes_csv(part: BowTiePartition, g: DirectedGraph) -> str:
-    names = np.array([c.value for c in _CLASS_ORDER], dtype=object)[part.class_of]
-    return _table(["node,class"], _node_ids(g, np.arange(part.node_count)), names)
+    """`node,class` per node; each block looks up its own ids and names."""
+    n, names = part.node_count, np.array([c.value for c in _CLASS_ORDER], dtype=object)
+    blocks = (
+        [_node_ids(g, np.arange(s, min(s + _BLOCK, n))), names[part.class_of[s : s + _BLOCK]]]
+        for s in range(0, n, _BLOCK)
+    )
+    return _text(["node,class"], blocks, ",")
 
 
 def decomposition_csv(d: ReciprocalDecomposition, g: DirectedGraph) -> str:

@@ -261,14 +261,53 @@ def test_equal_cores_fall_back_to_the_smallest_id(make_graph, taken, monkeypatch
     # searches cannot show their core is the largest: one strong-component
     # pass names {0,1,2}, and the numpy searches take its reaches
     calls = []
-    for name in ("strongly_connected_components", "_reach_mask"):
+    for name in ("_largest_core", "_reach_mask"):
         monkeypatch.setattr(components, name, spied(getattr(components, name), name, calls))
     edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (4, 3)]
     got = classes_as_sets(bowtie_decompose(make_graph(6, edges)))
     assert got["SCC"] == {0, 1, 2}
     assert got["DISCONNECTED"] == {3, 4, 5}
     assert taken == ["searches"]
-    assert calls == ["strongly_connected_components"]
+    assert calls == ["_largest_core"]
+
+
+def tied_cores(seed, trials):
+    """Seeded digraphs whose largest strong components tie: two or three
+    equal cycles among single nodes, every other edge running forward in
+    a random order of those components, so that none of them merge."""
+    rng = np.random.default_rng(seed)
+    for trial in range(trials):
+        ties, size = 2 + trial % 2, int(rng.integers(2, 6))
+        n = ties * size + int(rng.integers(0, 30))
+        ids = rng.permutation(n)
+        cycles = np.split(ids[: ties * size], ties)
+        edges = [(int(c[i]), int(c[(i + 1) % size])) for c in cycles for i in range(size)]
+        rank = np.empty(n, dtype=np.int64)  # each node's component's place in the order
+        order = rng.permutation(n - ties * (size - 1))
+        for c, place in zip(cycles, order):
+            rank[c] = place
+        rank[ids[ties * size :]] = order[ties:]
+        p = float(rng.uniform(0.0, 0.2))
+        edges += [(u, v) for u, v in oracles.random_digraph(rng, n, p) if rank[u] < rank[v]]
+        yield n, edges
+
+
+@pytest.mark.parametrize("levels", [0, 64])
+def test_core_is_the_largest_strong_component(monkeypatch, levels):
+    # ties go to the component holding the smallest id, on either kernel
+    monkeypatch.setattr(components, "_LEVELS", levels)
+    rng = np.random.default_rng(23)
+    cases = list(tied_cores(seed=22, trials=40))
+    for _ in range(40):
+        n = int(rng.integers(1, 40))
+        cases.append((n, oracles.random_digraph(rng, n, float(rng.uniform(0.0, 0.15)))))
+    for n, edges in cases:
+        g = graph_of(n, edges)
+        labels, sizes = strongly_connected_components(g)
+        want = labels == np.argmax(sizes)
+        assert np.array_equal(components._largest_core(g), want), (n, edges)
+        assert np.array_equal(bowtie_decompose(g).nodes_in(BowTieClass.SCC), np.flatnonzero(want))
+        assert set(np.flatnonzero(want).tolist()) == oracles.bowtie_bruteforce(n, edges)["SCC"]
 
 
 def test_deep_in_chain_falls_back(make_graph, taken):
@@ -391,6 +430,12 @@ def test_searches_in_small_blocks_match_bruteforce(monkeypatch, taken, size):
         blocked, none = np.arange(n) % 3 == 0, np.empty(0, dtype=np.int64)
         for way in ("out", "in", "both"):
             assert components._search(g, way, blocked, none).tolist() == blocked.tolist()
+        # the weak body's CSR: each node's out-row, then its in-row
+        offsets, targets = components._both_ways(g)
+        rev, sources = g.rev_offsets, g.rev_sources
+        for v in range(n):
+            row = g.out_neighbors(v).tolist() + sources[rev[v] : rev[v + 1]].tolist()
+            assert targets[offsets[v] : offsets[v + 1]].tolist() == row
     assert taken == ["searches"] * len(cases)
 
 
@@ -407,3 +452,40 @@ def test_bowtie_holds_a_few_bytes_an_edge():
     finally:
         tracemalloc.stop()
     assert peak <= 14 * g.edge_count, peak / g.edge_count
+
+
+def peak_per_item(g, items):
+    """``tracemalloc`` peak of one bow-tie, per item, on a graph whose
+    reverse CSR, kept on the graph, is built beforehand, with scipy's
+    traversals already imported."""
+    import scipy.sparse.csgraph  # noqa: F401
+
+    g.rev_offsets
+    tracemalloc.start()
+    try:
+        bowtie_decompose(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / items
+
+
+def test_compiled_bowtie_holds_no_weights_and_no_copied_csr(monkeypatch, taken):
+    # float64 weights, a super-source copy of every reach and scipy's weak
+    # pass took about 23 bytes an edge here
+    monkeypatch.setattr(components, "_LEVELS", 0)
+    rng = np.random.default_rng(11)
+    n, m = 100_000, 1_000_000
+    g = DirectedGraph.from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m))
+    peak = peak_per_item(g, g.edge_count)
+    assert peak <= 16, peak
+    assert taken == ["fallback"]
+
+
+def test_deep_bowtie_holds_a_few_bytes_a_node_and_edge(taken):
+    # the strong-component pass, the TUBE searches and the weak body took
+    # about 28 bytes a node and edge with the same copies
+    g, _ = planted_chain_bowtie(seed=2024)
+    peak = peak_per_item(g, g.node_count + g.edge_count)
+    assert peak <= 21, peak
+    assert taken == ["fallback"]
