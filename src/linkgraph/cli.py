@@ -430,7 +430,7 @@ def cmd_recip(args, put) -> dict:
     if args.scatter:
         put("recip_scatter.csv", export.scatter_csv(reciprocal_scatter(d), sub))
     if args.export_subgraph:
-        put("recip_subgraph_edges.txt", export.edge_list_text(sub))
+        put("recip_subgraph_edges.txt", export.edge_list_text(sub, half=True))
     return doc
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedStatisticError
-from .graph import DirectedGraph, UndirectedGraph, _local_rows, _row_blocks, exact_product_sum
+from .graph import DirectedGraph, _local_rows, _row_blocks, exact_product_sum
 
 
 @dataclass(frozen=True)
@@ -219,33 +219,29 @@ def _neighbor_means(
         return _neighbor_sums(offsets, targets, qty, transpose) / count
 
 
-def knn_undirected(graph: DirectedGraph | UndirectedGraph) -> CorrelationProfile:
-    """Average neighbor degree per degree class of an ``UndirectedGraph``,
-    or of the undirected projection of a ``DirectedGraph``, where a
-    node's neighbors are its in- and out-neighbors and a mutual pair is
-    one neighbor.
+def knn_undirected(graph: DirectedGraph) -> CorrelationProfile:
+    """Average neighbor degree per degree class of the undirected
+    projection of ``graph``, where a node's neighbors are its in- and
+    out-neighbors and a mutual pair is one neighbor.
 
     Per-node value: mean degree over the node's neighbors. Normalized
     by kappa = <d^2>/<d>, the flat level of an uncorrelated graph.
     Degree-zero nodes are excluded (their neighbor average is
-    undefined). A projection is read off the forward CSR and the
+    undefined). The projection is read off the forward CSR and the
     ``mutual`` mask, with no symmetric CSR built: a node's neighbor sum
     is the out-neighbor sum over every forward edge plus the
     in-neighbor sum over the one-way edges. The sums are of integers, so
-    the profile equals the one of the projection's ``UndirectedGraph``
-    bit for bit.
+    the profile equals the one of ``undirected_view(graph)`` bit for
+    bit; on a symmetric graph every edge is mutual, and the projection
+    is the graph itself.
     """
     if graph.edge_count == 0:
         raise UndefinedStatisticError("neighbor profile of an edgeless graph")
-    if isinstance(graph, UndirectedGraph):
-        deg = graph.degrees.astype(np.int64)
-        sums = _neighbor_sums(graph.offsets, graph.targets, deg)
-    else:
-        deg = graph.undirected_degrees
-        csr = graph.fwd_offsets, graph.fwd_targets
-        sums = _neighbor_sums(*csr, deg)
-        # a mutual in-neighbor is already an out-neighbor
-        sums += _neighbor_sums(*csr, deg, transpose=True, skip=graph.mutual)
+    deg = graph.undirected_degrees
+    csr = graph.fwd_offsets, graph.fwd_targets
+    sums = _neighbor_sums(*csr, deg)
+    # a mutual in-neighbor is already an out-neighbor
+    sums += _neighbor_sums(*csr, deg, transpose=True, skip=graph.mutual)
     with np.errstate(invalid="ignore"):
         knn = sums / deg
     kappa = exact_product_sum(deg, deg) / int(deg.sum())

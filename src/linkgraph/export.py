@@ -16,7 +16,7 @@ from .components import _CLASS_ORDER, BowTiePartition
 from .correlations import CorrelationProfile
 from .crawl_sim import BiasReport
 from .degree_stats import CumulativeCurve, DegreeHistogram, DegreeSummary, PowerLawFit
-from .graph import DirectedGraph, UndirectedGraph
+from .graph import DirectedGraph
 from .reciprocity import RatioStat, ReciprocalDecomposition
 
 
@@ -70,7 +70,7 @@ def _text(head: list[str], blocks, sep: str) -> str:
     return "".join(parts)
 
 
-def _node_ids(g: DirectedGraph | UndirectedGraph, dense: np.ndarray) -> np.ndarray:
+def _node_ids(g: DirectedGraph, dense: np.ndarray) -> np.ndarray:
     """The input ids of dense node ids: every per-node table prints these."""
     return dense if g.original_ids is None else g.original_ids[dense]
 
@@ -124,7 +124,7 @@ def ratios_dict(ratios: dict[str, RatioStat]) -> dict:
     return {name: asdict(r) for name, r in ratios.items()}
 
 
-def scatter_csv(rows: np.ndarray, g: DirectedGraph | UndirectedGraph) -> str:
+def scatter_csv(rows: np.ndarray, g: DirectedGraph) -> str:
     """`node,q_r,mean_neighbor_q_r,clustering` per row of
     :func:`reciprocal_scatter`; clustering is blank where undefined."""
     ids = _node_ids(g, rows[:, 0].astype(np.int64))
@@ -138,21 +138,20 @@ def scatter_csv(rows: np.ndarray, g: DirectedGraph | UndirectedGraph) -> str:
     return _text(["node,q_r,mean_neighbor_q_r,clustering"], blocks(), ",")
 
 
-def edge_list_text(g: DirectedGraph | UndirectedGraph) -> str:
-    """Edge list in the ingestable text format. Undirected graphs emit
-    each edge once as `u v` with u < v in dense ids. Each block finds its
-    rows with one search of the offsets and gathers only its own ids, so
-    no column as long as the edge list is made."""
-    directed = isinstance(g, DirectedGraph)
-    offsets, targets = (g.fwd_offsets, g.fwd_targets) if directed else (g.offsets, g.targets)
+def edge_list_text(g: DirectedGraph, half: bool = False) -> str:
+    """Edge list in the ingestable text format; with ``half``, each pair of
+    a symmetric graph once, as `u v` with u < v in dense ids. Each block
+    finds its rows with one search of the offsets and gathers only its own
+    ids, so no column as long as the edge list is made."""
+    offsets, targets = g.fwd_offsets, g.fwd_targets
 
     def blocks():
         for start in range(0, len(targets), _BLOCK):
             v = targets[start : start + _BLOCK]
             u = np.searchsorted(offsets, np.arange(start, start + len(v)), side="right") - 1
-            if not directed:
-                half = u < v
-                u, v = u[half], v[half]
+            if half:
+                keep = u < v
+                u, v = u[keep], v[keep]
             if len(u):
                 yield [_node_ids(g, u), _node_ids(g, v)]
 

@@ -212,65 +212,24 @@ class DirectedGraph:
         return f"DirectedGraph(nodes={self.node_count}, edges={self.edge_count})"
 
 
-class UndirectedGraph:
-    """Simple undirected graph as a symmetric sorted CSR.
-
-    Every edge is stored in both endpoint rows, so ``len(targets)`` is
-    twice the edge count. A faulty CSR or id array raises ValueError;
-    symmetry is not checked.
-    """
-
-    def __init__(
-        self,
-        node_count: int,
-        offsets: np.ndarray,
-        targets: np.ndarray,
-        original_ids: np.ndarray | None = None,
-    ):
-        _check_csr(int(node_count), offsets, targets, original_ids)
-        self.node_count = int(node_count)
-        self.offsets = _frozen(offsets)
-        self.targets = _frozen(targets)
-        self.original_ids = original_ids if original_ids is None else _frozen(original_ids)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.targets) // 2
-
-    @cached_property
-    def degrees(self) -> np.ndarray:
-        return _frozen(np.diff(self.offsets))
-
-    @cached_property
-    def rows(self) -> np.ndarray:
-        return _frozen(np.repeat(np.arange(self.node_count, dtype=np.int32), self.degrees))
-
-    @cached_property
-    def triangles(self) -> np.ndarray:
-        """Triangles through each node, counted on first use and kept: each
-        edge is kept from its lower (degree, id) end, so the wedges inside
-        the oriented rows number O(m^1.5) whatever the hubs (Chiba &
-        Nishizeki 1985), and each triangle closes once, at its lowest end."""
-        n = self.node_count
-        rank = np.empty(n, dtype=np.int64)
-        rank[np.argsort(self.degrees, kind="stable")] = np.arange(n)
-        up = rank[self.rows] < rank[self.targets]
-        # a subsequence of the sorted CSR: rows ascend, and heads within a row
-        src, dst = self.rows[up].astype(np.int64), self.targets[up].astype(np.int64)
-        keys = src * n + dst
-        idx = np.arange(len(src))
-        later = np.cumsum(np.bincount(src, minlength=n))[src] - idx - 1
-        # wedge (dst[a], dst[b]) for every b after a in a's row
-        a = np.repeat(idx, later)
-        b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(later) - later, later)
-        x, y = dst[a], dst[b]
-        wedge = np.where(rank[x] < rank[y], x * n + y, y * n + x)
-        closed = _in_sorted(keys, wedge)
-        t = np.bincount(np.concatenate([src[a[closed]], x[closed], y[closed]]), minlength=n)
-        return _frozen(t)
-
-    def __repr__(self) -> str:
-        return f"UndirectedGraph(nodes={self.node_count}, edges={self.edge_count})"
+def _symmetric(
+    n: int, offsets: np.ndarray, targets: np.ndarray, ids: np.ndarray | None
+) -> DirectedGraph:
+    """The graph on a CSR that is its own transpose, as the mutual subgraph's
+    and the undirected view's are; symmetry is not checked. Each mutual pair
+    is two entries, one per row. What symmetry fixes is filled in, not
+    computed: the reverse CSR is the forward one, every edge is mutual, and
+    every degree is the out-degree."""
+    g = DirectedGraph(n, offsets, targets, ids)
+    deg = g.out_degrees
+    vars(g).update(
+        _reverse=(g.fwd_offsets, g.fwd_targets),
+        in_degrees=deg,
+        mutual=np.broadcast_to(True, g.edge_count),  # read-only, and one byte in all
+        mutual_degrees=deg,
+        undirected_degrees=deg,
+    )
+    return g
 
 
 # -- CSR construction and shared array kernels ------------------------
@@ -838,12 +797,12 @@ def load_cache(data: bytes) -> DirectedGraph:
 # -- derived graphs ----------------------------------------------------
 
 
-def undirected_view(g: DirectedGraph) -> UndirectedGraph:
-    """Undirected projection: neighbors are the union of in- and
-    out-neighbors, mutual pairs collapse to one edge."""
+def undirected_view(g: DirectedGraph) -> DirectedGraph:
+    """Undirected projection as a symmetric graph: neighbors are the union
+    of in- and out-neighbors, and a mutual pair collapses to one pair."""
     n, u, v = g.node_count, g.fwd_rows, g.fwd_targets
     keys = np.multiply(np.concatenate([u, v]), n, dtype=np.int64) + np.concatenate([v, u])
-    return UndirectedGraph(n, *_csr_from_keys(n, keys), g.original_ids)
+    return _symmetric(n, *_csr_from_keys(n, keys), g.original_ids)
 
 
 def _restrict(g: DirectedGraph, nodes: np.ndarray, keep_edges: np.ndarray) -> DirectedGraph:

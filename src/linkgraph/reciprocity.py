@@ -24,35 +24,36 @@ from .correlations import (
 )
 from .degree_stats import DegreeHistogram, DegreeSummary, Direction, summarize
 from .errors import UndefinedStatisticError, value_or_note
-from .graph import DirectedGraph, UndirectedGraph, _filter_csr, exact_product_sum
+from .graph import DirectedGraph, _filter_csr, _frozen, _in_sorted, _symmetric, exact_product_sum
 
 
 @dataclass(frozen=True)
 class ReciprocalDecomposition:
     """Per-node split of degrees into reciprocal and one-way parts.
 
-    ``subgraph`` is the undirected graph of the mutual pairs, with the
-    directed graph's input ids; its degrees are ``q_r``. The one-way
-    edges are the forward edges outside ``DirectedGraph.mutual``.
+    ``subgraph`` is the graph of the mutual edges, symmetric (each pair
+    is two edges, one each way), with the directed graph's input ids;
+    its out-degrees are ``q_r``. The one-way edges are the forward edges
+    outside ``DirectedGraph.mutual``.
     """
 
     node_count: int
     q_in: np.ndarray
     q_out: np.ndarray
     q_r: np.ndarray
-    subgraph: UndirectedGraph
+    subgraph: DirectedGraph
 
     @property
     def reciprocal_pairs(self) -> np.ndarray:
         """Each mutual pair once as (u, v) with u < v, in CSR order."""
-        rows, targets = self.subgraph.rows, self.subgraph.targets
+        rows, targets = self.subgraph.fwd_rows, self.subgraph.fwd_targets
         half = rows < targets
         return np.stack([rows[half].astype(np.int64), targets[half].astype(np.int64)], axis=1)
 
     @property
     def reciprocal_edge_count(self) -> int:
         """Directed edges that belong to mutual pairs."""
-        return len(self.subgraph.targets)
+        return self.subgraph.edge_count
 
     def reciprocity_fraction(self) -> float:
         m = self.reciprocal_edge_count + int(self.q_in.sum())  # one-way edges: one q_in each
@@ -64,10 +65,10 @@ class ReciprocalDecomposition:
 def decompose(g: DirectedGraph) -> ReciprocalDecomposition:
     """Split each node's degrees by ``g.mutual``. The mutual edges, cut from
     the forward CSR, are the subgraph's sorted, symmetric CSR, so it is made
-    without a sort, and its degrees are q_r."""
+    without a sort, and its out-degrees are q_r."""
     n = g.node_count
-    sub = UndirectedGraph(n, *_filter_csr(g.fwd_offsets, g.fwd_targets, g.mutual), g.original_ids)
-    q_r = sub.degrees
+    sub = _symmetric(n, *_filter_csr(g.fwd_offsets, g.fwd_targets, g.mutual), g.original_ids)
+    q_r = sub.out_degrees
     return ReciprocalDecomposition(n, g.in_degrees - q_r, g.out_degrees - q_r, q_r, sub)
 
 
@@ -137,10 +138,10 @@ class ReciprocalKnnVariant(enum.Enum):
     OUT_NN_OF_OUT = "r_out_nn_of_out"
 
 
-def reciprocal_subgraph(d: ReciprocalDecomposition) -> UndirectedGraph:
-    """Undirected graph of mutual pairs on the full id space; the degree
-    of node v is exactly q_r(v). It carries the directed graph's input
-    ids, so exports print them."""
+def reciprocal_subgraph(d: ReciprocalDecomposition) -> DirectedGraph:
+    """Symmetric graph of the mutual pairs on the full id space; the
+    out-degree of node v is exactly q_r(v). It carries the directed
+    graph's input ids, so exports print them."""
     return d.subgraph
 
 
@@ -166,7 +167,7 @@ def reciprocal_knn(d: ReciprocalDecomposition, variant: ReciprocalKnnVariant) ->
     sub = d.subgraph
     return class_profile(
         q[conditioning],
-        _neighbor_means(sub.offsets, sub.targets, qty, d.q_r),
+        _neighbor_means(sub.fwd_offsets, sub.fwd_targets, qty, d.q_r),
         d.q_r > 0,
         norm,
         f"q_{conditioning}",
@@ -178,34 +179,63 @@ def reciprocal_knn(d: ReciprocalDecomposition, variant: ReciprocalKnnVariant) ->
 # -- clustering on the reciprocal subgraph ------------------------------
 
 
-def clustering(sub: UndirectedGraph, node: int) -> float:
+def triangles(sub: DirectedGraph) -> np.ndarray:
+    """Triangles through each node of the symmetric graph ``sub``, counted
+    on first use and kept on it, as its derived arrays are: each edge is
+    kept from its lower (degree, id) end, so the wedges inside the
+    oriented rows number O(m^1.5) whatever the hubs (Chiba & Nishizeki
+    1985), and each triangle closes once, at its lowest end."""
+    if "_triangles" in vars(sub):
+        return vars(sub)["_triangles"]
+    n, deg, targets = sub.node_count, sub.out_degrees, sub.fwd_targets
+    rows = np.repeat(np.arange(n, dtype=np.int32), deg)  # let go: the subgraph keeps no rows
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(deg, kind="stable")] = np.arange(n)
+    up = rank[rows] < rank[targets]
+    # a subsequence of the sorted CSR: rows ascend, and heads within a row
+    src, dst = rows[up].astype(np.int64), targets[up].astype(np.int64)
+    keys = src * n + dst
+    idx = np.arange(len(src))
+    later = np.cumsum(np.bincount(src, minlength=n))[src] - idx - 1
+    # wedge (dst[a], dst[b]) for every b after a in a's row
+    a = np.repeat(idx, later)
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(later) - later, later)
+    x, y = dst[a], dst[b]
+    wedge = np.where(rank[x] < rank[y], x * n + y, y * n + x)
+    closed = _in_sorted(keys, wedge)
+    t = np.bincount(np.concatenate([src[a[closed]], x[closed], y[closed]]), minlength=n)
+    vars(sub)["_triangles"] = _frozen(t)
+    return t
+
+
+def clustering(sub: DirectedGraph, node: int) -> float:
     """Fraction of realized links among one node's mutual partners:
     2 n_link / (q_r (q_r - 1)), from the subgraph's shared triangle
     count. Undefined below degree 2."""
     if not 0 <= node < sub.node_count:
         raise IndexError(f"node id {node} out of range")
-    d = int(sub.degrees[node])
+    d = int(sub.out_degrees[node])
     if d < 2:
         raise UndefinedStatisticError(
             f"clustering undefined for node {node} with reciprocal degree {d}"
         )
-    return 2 * int(sub.triangles[node]) / (d * (d - 1))
+    return 2 * int(triangles(sub)[node]) / (d * (d - 1))
 
 
-def _clustering_values(sub: UndirectedGraph) -> np.ndarray:
+def _clustering_values(sub: DirectedGraph) -> np.ndarray:
     """Per-node clustering 2 t / (q_r (q_r - 1)) from the subgraph's
     triangle count; NaN below degree 2."""
-    deg = sub.degrees.astype(np.float64)
+    deg = sub.out_degrees.astype(np.float64)
     with np.errstate(invalid="ignore", divide="ignore"):
-        values = 2.0 * sub.triangles / (deg * (deg - 1.0))
+        values = 2.0 * triangles(sub) / (deg * (deg - 1.0))
     values[deg < 2] = np.nan
     return values
 
 
-def avg_clustering_by_degree(sub: UndirectedGraph) -> CorrelationProfile:
+def avg_clustering_by_degree(sub: DirectedGraph) -> CorrelationProfile:
     """Mean clustering per reciprocal-degree class, over nodes with
     q_r >= 2. No normalization applies; ``mean_normalized`` is None."""
-    deg = sub.degrees
+    deg = sub.out_degrees
     return class_profile(
         deg, _clustering_values(sub), deg >= 2, None, "q_r", "mean_clustering", note="unnormalized"
     )
@@ -217,8 +247,8 @@ def reciprocal_scatter(d: ReciprocalDecomposition) -> np.ndarray:
     degree 2. Exposes the full point cloud so multi-modal patterns are
     not averaged away."""
     sub = d.subgraph
-    deg = sub.degrees
+    deg = sub.out_degrees
     members = np.flatnonzero(deg >= 1)
-    knn = _neighbor_means(sub.offsets, sub.targets, deg, deg)
+    knn = _neighbor_means(sub.fwd_offsets, sub.fwd_targets, deg, deg)
     columns = members, deg[members], knn[members], _clustering_values(sub)[members]
     return np.stack(columns, axis=1)  # the int columns promote to float64

@@ -20,6 +20,7 @@ from linkgraph import (
     save_cache,
     undirected_view,
 )
+from linkgraph import graph as graph_module
 from linkgraph.cli import main
 
 from conftest import TOY8_EDGES, TOY8_N, cache_targets_at, graph_of, reseal, v1_cache
@@ -362,6 +363,39 @@ class TestCorrAndRecip:
         assert len(per_node) == 4
         assert (out_dir / "recip_scatter.csv").exists()
         assert (out_dir / "recip_subgraph_edges.txt").read_text() == "0 1\n"
+
+    def test_recip_transposes_and_counts_rows_of_the_input_graph_only(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the mutual subgraph is made with its reverse CSR, mask and degrees
+        # filled in, so none of its tables transposes it or counts its rows
+        transposed, counted = [], []
+        transpose, row_counts = graph_module.DirectedGraph._transpose, graph_module._row_counts
+
+        def spy_transpose(self):
+            transposed.append(self)
+            return transpose(self)
+
+        def spy_row_counts(offsets, keep):
+            counted.append(offsets)
+            return row_counts(offsets, keep)
+
+        monkeypatch.setattr(graph_module.DirectedGraph, "_transpose", spy_transpose)
+        monkeypatch.setattr(graph_module, "_row_counts", spy_row_counts)
+        rng = np.random.default_rng(12)
+        ids = rng.choice(2**40, size=60, replace=False)
+        src, dst = ids[rng.integers(0, 60, (2, 300))]
+        lines = [f"{u} {v}\n" for u, v in zip(src, dst)]
+        lines += [f"{v} {u}\n" for u, v in zip(src[:120], dst[:120])]  # mutual pairs
+        edges = tmp_path / "sparse.txt"
+        edges.write_text("".join(lines))
+        argv = ["recip", "--input", str(edges), "--out", str(tmp_path / "recip")]
+        code, _, err = run([*argv, "--per-node", "--scatter", "--export-subgraph"], capsys)
+        assert code == 0, err
+        assert len(transposed) == 1
+        graph = transposed[0]
+        assert len(counted) == 1 and counted[0] is graph.fwd_offsets  # _filter_csr's cut
+        assert (tmp_path / "recip" / "recip_subgraph_edges.txt").stat().st_size > 0
 
     def test_out_of_memory_is_computation_error(self, toy_cache, capsys, monkeypatch):
         def too_big(g):  # numpy's own error for an allocation that cannot be made

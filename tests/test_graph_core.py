@@ -19,7 +19,6 @@ from linkgraph import (
     DirectedGraph,
     EdgeListParseError,
     LinkGraphError,
-    UndirectedGraph,
     build_from_edge_list,
     load_cache,
     save_cache,
@@ -33,8 +32,10 @@ from linkgraph.graph import (
     _in_sorted,
     _restrict,
     _row_blocks,
+    _symmetric,
     sorted_unique,
 )
+from linkgraph.reciprocity import triangles
 
 from conftest import CACHE_HEADER, TOY8_EDGES, cache_targets_at, graph_of, reseal, v1_cache
 from oracles import random_digraph, same_structure
@@ -520,15 +521,15 @@ class TestGraphStructure:
 
     def test_undirected_view_symmetric(self, toy8):
         ug = undirected_view(toy8)
-        assert ug.edge_count == len(TOY8_EDGES)  # no mutual edges in toy8
+        assert ug.edge_count == 2 * len(TOY8_EDGES)  # no mutual edges in toy8
         for v in range(ug.node_count):
-            for w in _row(ug.offsets, ug.targets, v):
-                assert v in _row(ug.offsets, ug.targets, int(w)).tolist()
+            for w in _row(ug.fwd_offsets, ug.fwd_targets, v):
+                assert v in _row(ug.fwd_offsets, ug.fwd_targets, int(w)).tolist()
 
     def test_undirected_view_merges_mutual_edges(self, make_graph):
         g = make_graph(2, [(0, 1), (1, 0)])
         ug = undirected_view(g)
-        assert ug.edge_count == 1
+        assert ug.edge_count == 2  # one pair, one edge each way
 
     def test_induced_subgraph_keeps_internal_edges(self, toy8):
         members = sorted_unique(np.array([1, 2, 3]))
@@ -540,8 +541,8 @@ class TestGraphStructure:
 
     def test_undirected_view_dedups(self):
         ug = undirected_view(graph_of(3, [(0, 1), (1, 0), (2, 2)]))
-        assert ug.edge_count == 1
-        assert ug.degrees.tolist() == [1, 1, 0]
+        assert ug.edge_count == 2
+        assert ug.out_degrees.tolist() == [1, 1, 0]
 
     def test_induced_subgraph_matches_bruteforce_on_sparse_ids(self):
         rng = np.random.default_rng(3)
@@ -563,7 +564,13 @@ class TestGraphStructure:
             assert got == want
 
 
-@pytest.mark.parametrize("cls", [DirectedGraph, UndirectedGraph])
+def _symmetric_graph(n, offsets, targets, original_ids=None):
+    return _symmetric(n, offsets, targets, original_ids)
+
+
+# ``_symmetric`` builds the mutual subgraph and the undirected view; it must
+# reject every CSR that ``DirectedGraph`` rejects before it fills anything in
+@pytest.mark.parametrize("cls", [DirectedGraph, _symmetric_graph], ids=["DirectedGraph", "symmetric"])
 class TestConstructorChecks:
     # a 4-node CSR whose edges all leave node 0
     @pytest.mark.parametrize(
@@ -618,7 +625,7 @@ class TestConstructorChecks:
         ids=["short", "long", "2-d", "float", "bool", "list"],
     )
     def test_faulty_ids_rejected(self, cls, ids):
-        # the path 0 -> 1 -> 2: a valid CSR for both classes, as symmetry is not checked
+        # the path 0 -> 1 -> 2: a valid CSR, as symmetry is not checked
         with pytest.raises(ValueError, match="original ids"):
             cls(3, np.array([0, 1, 2, 2]), np.array([1, 2], dtype=np.int32), original_ids=ids)
 
@@ -633,10 +640,10 @@ def test_undirected_constructor_rejects_reversed_rows():
     # reversed rows counted 16 triangles in place of 315
     rng = np.random.default_rng(0)
     ug = undirected_view(graph_of(40, rng.integers(0, 40, size=(300, 2))))
-    assert int(ug.triangles.sum()) // 3 == 315
-    rev = np.concatenate([_row(ug.offsets, ug.targets, v)[::-1] for v in range(40)])
+    assert int(triangles(ug).sum()) // 3 == 315
+    rev = np.concatenate([_row(ug.fwd_offsets, ug.fwd_targets, v)[::-1] for v in range(40)])
     with pytest.raises(ValueError, match="not strictly ascending"):
-        UndirectedGraph(40, ug.offsets.copy(), rev)
+        DirectedGraph(40, ug.fwd_offsets.copy(), rev)
 
 
 def _filter_bruteforce(offsets, targets, keep):
@@ -812,28 +819,17 @@ def test_mutual_keeps_only_a_reverse_csr_made_before_it():
 
 
 @pytest.mark.parametrize(
-    "cls, name",
-    [
-        (DirectedGraph, "out_degrees"),
-        (DirectedGraph, "in_degrees"),
-        (DirectedGraph, "fwd_rows"),
-        (DirectedGraph, "rev_offsets"),
-        (DirectedGraph, "rev_sources"),
-        (DirectedGraph, "mutual"),
-        (DirectedGraph, "original_ids"),
-        (UndirectedGraph, "degrees"),
-        (UndirectedGraph, "rows"),
-        (UndirectedGraph, "triangles"),
-        (UndirectedGraph, "original_ids"),
-    ],
+    "name",
+    ["out_degrees", "in_degrees", "fwd_rows", "rev_offsets", "rev_sources", "mutual",
+     "mutual_degrees", "undirected_degrees", "original_ids"],
 )
-def test_derived_arrays_are_kept_and_read_only(cls, name):
+@pytest.mark.parametrize("view", [False, True], ids=["DirectedGraph", "undirected_view"])
+def test_derived_arrays_are_kept_and_read_only(view, name):
     g = graph_of(5, [(0, 1), (1, 0), (1, 2), (2, 0), (3, 4), (4, 2)])
-    if cls is UndirectedGraph:
+    if view:  # the arrays that symmetry fixes are filled in, and frozen too
         g = undirected_view(g)
     if name == "original_ids":  # a caller's writable array is frozen on the way in
-        csr = (g.fwd_offsets, g.fwd_targets) if cls is DirectedGraph else (g.offsets, g.targets)
-        g = cls(g.node_count, *csr, np.arange(10, 15))
+        g = DirectedGraph(g.node_count, g.fwd_offsets, g.fwd_targets, np.arange(10, 15))
     first = getattr(g, name)
     assert getattr(g, name) is first
     assert not first.flags.writeable
@@ -1044,7 +1040,7 @@ def test_ingest_matches_set_semantics(case):
             u for u, v in clean if v == x
         )
         both = {v for u, v in clean if u == x} | {u for u, v in clean if v == x}
-        assert _row(ug.offsets, ug.targets, x).tolist() == sorted(both)
+        assert _row(ug.fwd_offsets, ug.fwd_targets, x).tolist() == sorted(both)
 
 
 _NEAR_2_62 = st.one_of(

@@ -25,6 +25,7 @@ from linkgraph import (
     reciprocal_subgraph,
     undirected_view,
 )
+from linkgraph.reciprocity import triangles
 
 import oracles
 from conftest import graph_of
@@ -130,10 +131,10 @@ class TestMutualMask:
             src, dst = np.array(mutual, dtype=np.int64).reshape(-1, 2).T
             want = undirected_view(DirectedGraph.from_edges(g.node_count, src, dst))
             d = decompose(g)
-            assert np.array_equal(d.subgraph.offsets, want.offsets)
-            assert np.array_equal(d.subgraph.targets, want.targets)
+            assert np.array_equal(d.subgraph.fwd_offsets, want.fwd_offsets)
+            assert np.array_equal(d.subgraph.fwd_targets, want.fwd_targets)
             assert d.subgraph.original_ids is g.original_ids
-            assert np.array_equal(d.subgraph.degrees, d.q_r)
+            assert np.array_equal(d.subgraph.out_degrees, d.q_r)
             assert reciprocal_subgraph(d) is d.subgraph
 
     def test_computed_once_and_read_only(self):
@@ -188,7 +189,7 @@ class TestReciprocalSubgraph:
         edges = oracles.random_digraph(rng, 30, 0.3)
         d = decompose(graph_of(30, edges))
         sub = reciprocal_subgraph(d)
-        assert (sub.degrees == d.q_r).all()
+        assert (sub.out_degrees == d.q_r).all()
 
 
 class TestReciprocalKnn:
@@ -306,9 +307,10 @@ class TestScatter:
         d = decompose(graph_of(4, edges))
         sub = reciprocal_subgraph(d)
         avg_clustering_by_degree(sub)
-        counted = sub.triangles
+        counted = triangles(sub)
         reciprocal_scatter(d)
-        assert sub.triangles is counted
+        assert triangles(sub) is counted
+        assert not counted.flags.writeable
         assert counted.tolist() == [1, 1, 1, 0]
 
     def test_columns_and_membership(self):
@@ -360,7 +362,7 @@ class TestTriangleKernel:
     )
     def test_matches_bruteforce(self, n, pairs):
         sub = undirected_view(graph_of(n, pairs))
-        assert sub.triangles.tolist() == oracles.triangles_bruteforce(n, pairs)
+        assert triangles(sub).tolist() == oracles.triangles_bruteforce(n, pairs)
 
     def test_hub_costs_no_more_than_its_edges(self):
         # wedges are listed only in degree-ordered rows; listed in the hub's
@@ -369,12 +371,12 @@ class TestTriangleKernel:
         sub = undirected_view(graph_of(n, pairs))
         tracemalloc.start()
         try:
-            counts = sub.triangles
+            counts = triangles(sub)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert int(counts[0]) == 28 + 1999  # clique pairs, then path links
-        assert peak < 256 * len(sub.targets)
+        assert peak < 256 * len(sub.fwd_targets)
 
 
 @st.composite
@@ -391,7 +393,7 @@ def undirected_pair_lists(draw):
 def test_triangles_match_bruteforce(case):
     n, pairs = case
     sub = undirected_view(graph_of(n, pairs))
-    assert sub.triangles.tolist() == oracles.triangles_bruteforce(n, pairs)
+    assert triangles(sub).tolist() == oracles.triangles_bruteforce(n, pairs)
 
 
 @st.composite
@@ -420,3 +422,20 @@ def test_decomposition_identities(case):
     got = set(zip(g.fwd_rows[~g.mutual].tolist(), g.fwd_targets[~g.mutual].tolist()))
     assert got == one_way
     assert d.reciprocal_edge_count + len(one_way) == g.edge_count
+
+
+@given(digraph_edge_sets())
+@settings(max_examples=60, deadline=None)
+def test_symmetric_graphs_are_made_with_what_a_fresh_graph_derives(case):
+    # _check_csr does not check symmetry: this is the one guard on what
+    # _symmetric fills in for the mutual subgraph and the undirected view
+    n, edges = case
+    g = graph_of(n, edges)
+    for sym in (decompose(g).subgraph, undirected_view(g)):
+        seeded = ("_reverse", "in_degrees", "mutual", "mutual_degrees", "undirected_degrees")
+        assert set(seeded) <= set(vars(sym))
+        fresh = DirectedGraph(sym.node_count, sym.fwd_offsets, sym.fwd_targets)
+        for got, want in zip(sym._reverse, fresh._transpose()):
+            assert np.array_equal(got, want)
+        for name in seeded[1:]:
+            assert np.array_equal(getattr(sym, name), getattr(fresh, name)), name
