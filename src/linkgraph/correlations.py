@@ -232,16 +232,18 @@ def knn_undirected(graph: DirectedGraph) -> CorrelationProfile:
     is the out-neighbor sum over every forward edge plus the
     in-neighbor sum over the one-way edges. The sums are of integers, so
     the profile equals the one of ``undirected_view(graph)`` bit for
-    bit; on a symmetric graph every edge is mutual, and the projection
-    is the graph itself.
+    bit; on a symmetric graph every edge is mutual, the projection is
+    the graph itself, and the in-neighbor sum is not taken.
     """
     if graph.edge_count == 0:
         raise UndefinedStatisticError("neighbor profile of an edgeless graph")
     deg = graph.undirected_degrees
     csr = graph.fwd_offsets, graph.fwd_targets
     sums = _neighbor_sums(*csr, deg)
-    # a mutual in-neighbor is already an out-neighbor
-    sums += _neighbor_sums(*csr, deg, transpose=True, skip=graph.mutual)
+    # a mutual in-neighbor is already an out-neighbor, so a graph whose every
+    # edge is mutual, as a symmetric one, has no other
+    if int(graph.mutual_degrees.sum()) < graph.edge_count:
+        sums += _neighbor_sums(*csr, deg, transpose=True, skip=graph.mutual)
     with np.errstate(invalid="ignore"):
         knn = sums / deg
     kappa = exact_product_sum(deg, deg) / int(deg.sum())

@@ -634,7 +634,9 @@ def run_ensemble(
             # This process has built no graph and loaded no scipy, so each
             # worker's peak RSS, which counts its parent's, starts low; a
             # worker loads scipy only for a bow-tie the numpy searches
-            # cannot settle.
+            # cannot settle: one deep other than along chains of one-in,
+            # one-out nodes, or one whose core they cannot show is the
+            # largest.
             context = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(processes, mp_context=context) as pool:
                 yield from pool.map(job, range(replicas))

@@ -985,8 +985,11 @@ SCIPY_USE = {
     "ingest": ((), ("scipy",)),
     "corr": ((), ("scipy",)),
     "bowtie": ((), ("scipy",)),
-    # IN is a 298-node chain, past the bow-tie's numpy search cap
-    "bowtie-chain": (("scipy.sparse.csgraph",), ("scipy.special",)),
+    # IN is a 298-node chain: one run, which the numpy searches cross in a step
+    "bowtie-chain": ((), ("scipy",)),
+    # a 300-node mutual chain holds no run and is 298 steps across, past the
+    # numpy search cap
+    "bowtie-mutual-chain": (("scipy.sparse.csgraph",), ("scipy.special",)),
     "degrees": ((), ("scipy",)),
     "recip": ((), ("scipy",)),
     "simulate": ((), ("scipy",)),
@@ -1002,9 +1005,12 @@ def test_commands_load_only_the_scipy_they_compute_with(command, tmp_path):
     (tmp_path / "doc.json").write_text('{"edges": 60}')
     chain = tmp_path / "chain.txt"
     chain.write_text("".join(f"{i} {i + 1}\n" for i in range(300)) + "300 298\n")
+    mutual_chain = tmp_path / "mutual_chain.txt"
+    mutual_chain.write_text("".join(f"{i} {i + 1}\n{i + 1} {i}\n" for i in range(299)))
     argv = {
         "import": [],
         "bowtie-chain": ["bowtie", "--input", str(chain)],
+        "bowtie-mutual-chain": ["bowtie", "--input", str(mutual_chain)],
         "simulate": ["simulate", "--n", "60"],
         "report": ["report", "--dir", str(tmp_path)],
     }.get(command, [command, "--input", str(edges)])

@@ -32,8 +32,8 @@ def taken(monkeypatch):
     runs = []
     classes = components._classes
 
-    def spy(g, search):
-        masks = classes(g, search)
+    def spy(g, search, *rest):
+        masks = classes(g, search, *rest)
         runs.append("fallback" if search is components._compiled_search else "searches")
         return masks
 
@@ -310,15 +310,68 @@ def test_core_is_the_largest_strong_component(monkeypatch, levels):
         assert set(np.flatnonzero(want).tolist()) == oracles.bowtie_bruteforce(n, edges)["SCC"]
 
 
-def test_deep_in_chain_falls_back(make_graph, taken):
+@pytest.mark.parametrize("side", ["IN", "OUT"])
+def test_deep_chain_leaps_in_the_searches(make_graph, taken, monkeypatch, side):
     # 0 -> 1 -> ... -> 300 -> 298: the core {298, 299, 300} is the largest,
-    # but IN is a chain 298 steps deep, past the search cap
+    # and IN is a chain 298 steps deep: 1..297 is one run, crossed in one
+    # step, entered from node 0, which has no in-edge, so no cycle holds it
+    # and the core is shown the largest with no SCC pass; reversed, OUT is
+    # the chain and its run leaves to node 0, which has no out-edge
+    calls = []
+    for name in ("_largest_core", "_reach_mask"):
+        monkeypatch.setattr(components, name, spied(getattr(components, name), name, calls))
     edges = [(i, i + 1) for i in range(300)] + [(300, 298)]
+    if side == "OUT":
+        edges = [(v, u) for u, v in edges]
     got = classes_as_sets(bowtie_decompose(make_graph(301, edges)))
-    assert got["SCC"] == {298, 299, 300}
-    assert got["IN"] == set(range(298))
-    assert all(not got[c] for c in ("OUT", "TUBE", "TENDRIL", "DISCONNECTED"))
+    assert got.pop("SCC") == {298, 299, 300}
+    assert got.pop(side) == set(range(298))
+    assert not any(got.values())
+    assert taken == ["searches"]
+    assert calls == []
+
+
+def test_leap_adds_the_run_along_its_way():
+    # the path p0 -> ... -> p9, ids shuffled: its run is p1..p8, and p3 and
+    # p6 are fresh on it
+    path = np.random.default_rng(34).permutation(10)
+    g = graph_of(10, list(zip(path[:-1].tolist(), path[1:].tolist())))
+    runs = components._runs(g)
+    assert runs.nodes.tolist() == path[1:9].tolist()
+    for way, want, free in [
+        ("out", path[3:9], None),
+        ("in", path[1:7], None),
+        ("both", path[1:9], None),
+        ("both", path[[3, 6]], np.zeros(1, dtype=bool)),
+    ]:
+        fresh = np.zeros(10, dtype=bool)
+        fresh[path[[3, 6]]] = True
+        assert components._leap(fresh, way, runs, free) == (free is None)
+        assert np.array_equal(np.flatnonzero(fresh), np.sort(want)), way
+
+
+def test_mutual_chain_falls_back(make_graph, taken):
+    # 0 <-> 1 <-> ... <-> 299 is one strong component, 298 steps across
+    # from its pivot, node 1: its only runs are its two end nodes
+    edges = [(i, i + 1) for i in range(299)] + [(i + 1, i) for i in range(299)]
+    part = bowtie_decompose(make_graph(300, edges))
+    assert part.sizes[BowTieClass.SCC] == 300
     assert taken == ["fallback"]
+
+
+def test_lasso_as_large_as_the_core_takes_the_pass(make_graph, taken, monkeypatch):
+    # the pivot, node 3 (k_out * k_in = 4), sits in the cycle {3, 4, 5}
+    # between IN 7 and OUT 8; the lasso 0 -> 1 -> 2 -> 0 is as large, its
+    # run {1, 2} entered and left at 0, so the bound must count the run
+    # and one strong-component pass name {0, 1, 2}, which holds node 0
+    calls = []
+    monkeypatch.setattr(components, "_largest_core", spied(components._largest_core, "pass", calls))
+    edges = [(0, 1), (1, 2), (2, 0), (0, 9), (3, 4), (4, 5), (5, 3), (7, 3), (3, 8)]
+    got = classes_as_sets(bowtie_decompose(make_graph(10, edges)))
+    assert got["SCC"] == {0, 1, 2}
+    assert got == oracles.bowtie_bruteforce(10, edges)
+    assert calls == ["pass"]
+    assert taken == ["searches"]
 
 
 def test_shallow_majority_core_takes_the_searches(make_graph, taken, monkeypatch):
@@ -352,9 +405,9 @@ def test_tendril_past_the_cap_gives_way_part_way(make_graph, taken, monkeypatch)
     ways = []
     search = components._search
 
-    def spy(g, way, blocked, seeds):
+    def spy(g, way, blocked, seeds, *rest):
         ways.append(way)
-        return search(g, way, blocked, seeds)
+        return search(g, way, blocked, seeds, *rest)
 
     monkeypatch.setattr(components, "_search", spy)
     got = classes_as_sets(bowtie_decompose(make_graph(704, edges)))
@@ -413,8 +466,9 @@ def test_kernels_agree():
                 components._search(g, way, blocked, seeds),
                 components._compiled_search(g, way, blocked, seeds),
             ), (n, edges, way, blocked, seeds)
-        masks = components._classes(g, components._search)
-        for got, want in zip(masks, components._classes(g, components._compiled_search)):
+        runs = components._runs(g)
+        masks = components._classes(g, components._search, runs)
+        for got, want in zip(masks, components._classes(g, components._compiled_search, runs)):
             assert np.array_equal(got, want), (n, edges)
 
 
@@ -484,8 +538,103 @@ def test_compiled_bowtie_holds_no_weights_and_no_copied_csr(monkeypatch, taken):
 
 def test_deep_bowtie_holds_a_few_bytes_a_node_and_edge(taken):
     # the strong-component pass, the TUBE searches and the weak body took
-    # about 28 bytes a node and edge with the same copies
+    # about 28 bytes a node and edge with the same copies; the numpy
+    # searches leap along its chains
+    g, _ = planted_chain_bowtie(seed=2024)
+    peak = peak_per_item(g, g.node_count + g.edge_count)
+    assert peak <= 21, peak
+    assert taken == ["searches"]
+
+
+def test_compiled_deep_bowtie_holds_a_few_bytes_a_node_and_edge(monkeypatch, taken):
+    # the compiled kernel keeps no run index beside its own arrays
+    monkeypatch.setattr(components, "_LEVELS", 0)
     g, _ = planted_chain_bowtie(seed=2024)
     peak = peak_per_item(g, g.node_count + g.edge_count)
     assert peak <= 21, peak
     assert taken == ["fallback"]
+
+
+def run_cases(seed, trials):
+    """Seeded digraphs built around runs of one-in, one-out nodes, ids
+    shuffled: chains between random nodes or hanging off nothing, cycles
+    of such nodes alone, lassos (a chain whose entry is its exit) and
+    random edges among the rest. Each fifth case is a tied core from
+    :func:`tied_cores` with chains attached."""
+    rng = np.random.default_rng(seed)
+    ties = tied_cores(seed + 1, trials)
+    for trial in range(trials):
+        n, edges = next(ties)
+        if trial % 5:
+            n = int(rng.integers(2, 30))
+            edges = oracles.random_digraph(rng, n, float(rng.uniform(0.0, 0.12)))
+        ends = n
+        for piece in range(int(rng.integers(1, 5))):
+            size, kind = int(rng.integers(1, 9)), rng.choice(["chain", "cycle", "lasso"])
+            if not piece:  # a run in every case: its middle node at least
+                size, kind = size + 2, "chain"
+            chain = list(range(n, n + size))
+            n += size
+            edges += list(zip(chain, chain[1:]))
+            if kind == "cycle":
+                edges.append((chain[-1], chain[0]))
+                continue
+            entry, exit_ = (int(v) for v in rng.integers(-1, ends, 2))
+            if kind == "lasso":
+                exit_ = entry = max(entry, 0)
+            if entry >= 0:
+                edges.append((entry, chain[0]))
+            if exit_ >= 0:
+                edges.append((chain[-1], exit_))
+        ids = rng.permutation(n)
+        yield n, sorted({(int(ids[u]), int(ids[v])) for u, v in edges if u != v})
+
+
+def reach_oracle(n, edges, way, blocked, seeds):
+    """``_search``'s mask by the brute-force closure: the rows of blocked
+    nodes that are not seeds are cut, and the blocked nodes added."""
+    steps = {"out": edges, "in": [(v, u) for u, v in edges]}
+    steps["both"] = steps["out"] + steps["in"]
+    cut = blocked.copy()
+    cut[seeds] = False
+    reach = oracles.reachability(n, [(u, v) for u, v in steps[way] if not cut[u]])
+    return reach[seeds].any(axis=0) | blocked
+
+
+@pytest.mark.parametrize("levels", [3, 64])
+def test_runs_match_bruteforce(monkeypatch, taken, levels):
+    # runs, seeds and blocked nodes anywhere; at 3 steps some graphs still
+    # give way, and the compiled kernel classifies them with no run index
+    monkeypatch.setattr(components, "_LEVELS", levels)
+    for n, edges in run_cases(seed=31, trials=60):
+        g = graph_of(n, edges)
+        want = oracles.bowtie_bruteforce(n, edges)
+        assert classes_as_sets(bowtie_decompose(g)) == want, (n, edges)
+    assert len(taken) == 60
+    assert set(taken) == ({"searches", "fallback"} if levels == 3 else {"searches"})
+
+
+def test_searches_leap_as_the_compiled_kernel_and_the_closure_reach():
+    rng = np.random.default_rng(32)
+    pivots_on_runs = 0
+    for n, edges in run_cases(seed=33, trials=60):
+        g = graph_of(n, edges)
+        runs = components._runs(g)
+        on_run = np.flatnonzero(runs.slot >= 0)
+        assert on_run.size
+        pivots_on_runs += runs.slot[runs.pivot[0]] >= 0
+        none = np.zeros(n, dtype=bool)
+        for way in ("out", "in", "both"):
+            # a seed on a run and a few anywhere; the weak body's in one component
+            seeds = rng.choice(on_run, 1)
+            pool = reach_oracle(n, edges, "both", none, seeds) if way == "both" else ~none
+            seeds = np.union1d(seeds, rng.choice(np.flatnonzero(pool), int(rng.integers(0, 4))))
+            want = components._compiled_search(g, way, None, seeds)
+            assert np.array_equal(components._search(g, way, None, seeds), want), (n, edges, way)
+            # blocked nodes anywhere, one of them on a run
+            blocked = rng.random(n) < 0.15
+            blocked[rng.choice(on_run)] = True
+            want = reach_oracle(n, edges, way, blocked, seeds)
+            got = components._search(g, way, blocked, seeds, runs)
+            assert np.array_equal(got, want), (n, edges, way, blocked, seeds)
+    assert pivots_on_runs

@@ -15,6 +15,7 @@ from linkgraph import (
     knn_undirected,
     undirected_view,
 )
+from linkgraph import correlations
 from linkgraph.correlations import class_profile, normalized_product_ratio
 
 import oracles
@@ -214,6 +215,30 @@ class TestKnnUndirected:
     def test_edgeless_raises(self):
         with pytest.raises(UndefinedStatisticError):
             knn_undirected(undirected_view(graph_of(3, [])))
+
+    def test_takes_the_in_neighbor_sum_only_over_one_way_edges(self, monkeypatch):
+        # a mutual in-neighbor is an out-neighbor already: with every edge
+        # mutual the transposed pass would skip them all, and is not taken
+        passes = []
+        sums = correlations._neighbor_sums
+
+        def spy(*args, transpose=False, **kwargs):
+            passes.append(transpose)
+            return sums(*args, transpose=transpose, **kwargs)
+
+        monkeypatch.setattr(correlations, "_neighbor_sums", spy)
+        pairs = [(0, 1), (1, 2), (2, 0), (2, 3)]
+        mutual = pairs + [(v, u) for u, v in pairs]
+        want, _ = oracles.knn_undirected_bruteforce(4, pairs)
+        for g, taken in [
+            (undirected_view(graph_of(4, pairs)), [False]),
+            (decompose(graph_of(4, mutual)).subgraph, [False]),
+            (graph_of(4, mutual), [False]),
+            (graph_of(4, mutual[:-1]), [False, True]),
+        ]:
+            passes.clear()
+            assert profile_as_dict(knn_undirected(g)) == pytest.approx(want)
+            assert passes == taken
 
     def test_mutual_subgraph_peaks_at_a_few_bytes_per_node_and_edge(self):
         # the subgraph's degrees and mask are filled in when it is made: every
