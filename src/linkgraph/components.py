@@ -10,7 +10,7 @@ the weakly connected body (TENDRIL), and everything else
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,16 +147,13 @@ def _both_ways(g: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
 # at most 64 such passes plus its edges, whatever the graph's depth.
 # Web-like graphs with a majority core finish in a few dozen steps (at
 # most 27 on the benchmark's graphs), and a chain of one-in, one-out
-# nodes is crossed in one step; a graph deep in other ways gives way
-# after milliseconds and is classified again with the compiled kernel.
+# nodes is crossed in one step; a search deep in other ways hands over
+# to the compiled kernel after milliseconds, and the bow-tie's later
+# searches start there.
 _LEVELS = 64
 
 
-class _TooDeep(Exception):
-    """A numpy search is still going after ``_LEVELS`` steps."""
-
-
-@dataclass(frozen=True)
+@dataclass
 class _Runs:
     """What the classifier reads off a graph's degrees, taken once per
     bow-tie: the pivot, the nodes that can lie on a cycle, and the runs.
@@ -165,7 +162,7 @@ class _Runs:
     first node's predecessor and its exit the last node's successor.
     Run r is ``nodes[offsets[r]:offsets[r + 1]]`` in path order, and
     ``slot[v]`` is v's place in ``nodes``, -1 off a run; those three are
-    int32.
+    int32, and None once a search has handed over to the compiled kernel.
     """
 
     pivot: np.ndarray  # the node with the largest k_out * k_in, as one seed
@@ -261,16 +258,18 @@ def _leap(fresh: np.ndarray, way: str, runs: _Runs, free) -> bool:
     return True
 
 
-def _search(g: DirectedGraph, way: str, blocked, seeds: np.ndarray, runs=None) -> np.ndarray:
+def _search(g: DirectedGraph, way: str, blocked, seeds: np.ndarray, runs: _Runs) -> np.ndarray:
     """Mask of the nodes ``seeds`` reach along ``way`` ("out", "in" or
     "both" directions), seeds included, never passing through a node of
     the mask ``blocked`` (None blocks none), whose nodes it includes.
-    Raises :class:`_TooDeep` after ``_LEVELS`` steps. Each step marks the
-    targets of the frontier's rows; those not reached before, with what
-    they reach along their runs of ``runs`` (built when not given) that
-    hold no blocked node, are the next frontier.
+    Each step marks the targets of the frontier's rows; those not reached
+    before, with what they reach along their runs that hold no blocked
+    node, are the next frontier. Past ``_LEVELS`` steps the search lets
+    its arrays and the runs go and finishes in :func:`_compiled_search`,
+    where every later search on ``runs`` starts.
     """
-    runs = _runs(g) if runs is None else runs
+    if runs.slot is None:
+        return _compiled_search(g, way, blocked, seeds)
     rows = {"out": [(g.fwd_offsets, g.fwd_targets)], "in": [(g.rev_offsets, g.rev_sources)]}
     rows["both"] = rows["out"] + rows["in"]
     free = None
@@ -294,16 +293,15 @@ def _search(g: DirectedGraph, way: str, blocked, seeds: np.ndarray, runs=None) -
         frontier = np.flatnonzero(fresh)
         if not frontier.size:
             return reached
-    raise _TooDeep
+    # the compiled kernel leaps along no run: its arrays are the only ones left
+    reached = fresh = frontier = ends = free = hit = runs.offsets = runs.nodes = runs.slot = None
+    return _compiled_search(g, way, blocked, seeds)
 
 
-def _compiled_search(
-    g: DirectedGraph, way: str, blocked, seeds: np.ndarray, runs=None
-) -> np.ndarray:
+def _compiled_search(g: DirectedGraph, way: str, blocked, seeds: np.ndarray) -> np.ndarray:
     """:func:`_search` by one compiled scipy traversal, at any depth, that
     walks through ``blocked``: equal when nothing else is reached only
-    through it. Over "both" directions: the first seed's weak component.
-    ``runs`` is not read."""
+    through it. Over "both" directions: the first seed's weak component."""
     if way == "both":
         return _reach_mask(*_both_ways(g), seeds[:1])
     fwd, rev = (g.fwd_offsets, g.fwd_targets), (g.rev_offsets, g.rev_sources)
@@ -317,10 +315,9 @@ def _holds_at_most(region: np.ndarray, cyclic: np.ndarray) -> int:
     return max(np.count_nonzero(region & cyclic), int(region.any()))
 
 
-def _classes(g: DirectedGraph, search, runs: _Runs):
+def _classes(g: DirectedGraph, runs: _Runs):
     """SCC, IN, OUT, TUBE and weak-body masks, every reach taken by
-    ``search``: :func:`_search` or :func:`_compiled_search`, handed
-    ``runs``.
+    :func:`_search` on ``runs``.
 
     The reaches start from the node with the largest ``k_out * k_in``.
     Every other strong component lies inside its forward reach less its
@@ -331,7 +328,7 @@ def _classes(g: DirectedGraph, search, runs: _Runs):
     one core node reaches what the whole core reaches.
     """
     seeds = runs.pivot
-    fwd_reach, rev_reach = search(g, "out", None, seeds, runs), search(g, "in", None, seeds, runs)
+    fwd_reach, rev_reach = _search(g, "out", None, seeds, runs), _search(g, "in", None, seeds, runs)
     scc = fwd_reach & rev_reach
     out_, in_ = fwd_reach & ~scc, rev_reach & ~scc
     others = (out_, in_, ~(fwd_reach | rev_reach))
@@ -339,17 +336,17 @@ def _classes(g: DirectedGraph, search, runs: _Runs):
         core = _largest_core(g)
         if not core[seeds[0]]:
             scc, seeds = core, np.argmax(core, keepdims=True)
-            fwd_reach = search(g, "out", None, seeds, runs)
-            rev_reach = search(g, "in", None, seeds, runs)
+            fwd_reach = _search(g, "out", None, seeds, runs)
+            rev_reach = _search(g, "in", None, seeds, runs)
             out_, in_ = fwd_reach & ~scc, rev_reach & ~scc
     main = scc | in_ | out_
     tube = np.zeros_like(main)
     if in_.any() and out_.any():
         # paths from IN to OUT that never enter the core; blocking all of main
         # is the same: past the core or OUT a path stays in OUT; IN are seeds
-        from_in = search(g, "out", main, np.flatnonzero(in_), runs)
-        tube = from_in & search(g, "in", main, np.flatnonzero(out_), runs) & ~main
-    return scc, in_, out_, tube, search(g, "both", None, np.flatnonzero(main), runs)
+        from_in = _search(g, "out", main, np.flatnonzero(in_), runs)
+        tube = from_in & _search(g, "in", main, np.flatnonzero(out_), runs) & ~main
+    return scc, in_, out_, tube, _search(g, "both", None, np.flatnonzero(main), runs)
 
 
 def bowtie_decompose(g: DirectedGraph) -> BowTiePartition:
@@ -360,8 +357,8 @@ def bowtie_decompose(g: DirectedGraph) -> BowTiePartition:
     with the smallest id as the core. An empty graph yields an all-empty
     partition with zero percentages.
 
-    The classifier runs on capped numpy searches, and again on compiled
-    scipy traversals when a search gives way.
+    The classifier runs on capped numpy searches; one that gives way
+    finishes on a compiled scipy traversal, where the later ones start.
     """
     n = g.node_count
     if n == 0:
@@ -369,15 +366,7 @@ def bowtie_decompose(g: DirectedGraph) -> BowTiePartition:
         pcts = {c: 0.0 for c in _CLASS_ORDER}
         return BowTiePartition(0, np.empty(0, dtype=np.uint8), zeros, pcts, 0.0)
 
-    runs = _runs(g)
-    try:
-        masks = _classes(g, _search, runs)
-    except _TooDeep:  # rerun past the clause, whose traceback holds the first run's arrays
-        masks = None
-    if masks is None:  # the compiled kernel leaps along no run: let the runs go
-        runs = replace(runs, offsets=None, nodes=None, slot=None)
-        masks = _classes(g, _compiled_search, runs)
-    scc, in_, out_, tube, weak = masks
+    scc, in_, out_, tube, weak = _classes(g, _runs(g))
 
     # each class is painted over the last: TENDRIL is the weak body's rest
     class_of = np.full(n, _CLASS_CODE[BowTieClass.DISCONNECTED], dtype=np.uint8)

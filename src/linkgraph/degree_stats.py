@@ -484,26 +484,15 @@ def sample_zeta(
         raise ValueError("zeta law requires gamma > 1")
     if k_min < 1:
         raise ValueError("k_min must be >= 1")
-    if cutoff is not None:
-        if cutoff < k_min:
-            raise ValueError("cutoff below k_min")
-        ks = np.arange(k_min, cutoff + 1, dtype=np.float64)
-        weights = ks**-gamma
-        cum = np.cumsum(weights)
-        cum /= cum[-1]
-        u = rng.random(size)
-        return k_min + np.searchsorted(cum, u, side="right").astype(np.int64)
-
-    z_total = _hurwitz_zeta(gamma, k_min)
-    span = _TABLE_SPAN
-    ks = np.arange(k_min, k_min + span, dtype=np.float64)
-    cum = np.cumsum(ks**-gamma) / z_total
-    body_top = cum[-1]
+    if cutoff is not None and cutoff < k_min:
+        raise ValueError("cutoff below k_min")
+    top = k_min + _TABLE_SPAN - 1 if cutoff is None else cutoff
+    cum = np.cumsum(np.arange(k_min, top + 1, dtype=np.float64) ** -gamma)
+    z_total = _hurwitz_zeta(gamma, k_min) if cutoff is None else cum[-1]
+    cum /= z_total
     u = rng.random(size)
-    out = np.empty(size, dtype=np.int64)
-    body = u < body_top
-    out[body] = k_min + np.searchsorted(cum, u[body], side="right")
-    tail = ~body
+    out = k_min + np.searchsorted(cum, u, side="right").astype(np.int64)
+    tail = u >= cum[-1]  # draws past the table: none when it ends at the cutoff, at 1
     if tail.any():
         out[tail] = _tail_quantiles(gamma, k_min, z_total, u[tail])
     return out

@@ -25,18 +25,34 @@ def spied(fn, name, calls):
     return spy
 
 
+class Taken(list):
+    """How each non-empty bow-tie was classified, in call order:
+    "searches" when every search settled in numpy, "fallback" when one
+    handed over to the compiled kernel. ``ways[i]`` lists the ways of the
+    i-th bow-tie's searches that ran compiled."""
+
+    def __init__(self):
+        super().__init__()
+        self.ways = []
+
+
 @pytest.fixture
 def taken(monkeypatch):
-    """The kernel that classified each non-empty graph, in call order:
-    "searches" for the numpy searches, "fallback" for the compiled one."""
-    runs = []
-    classes = components._classes
+    runs, ways = Taken(), []
+    classes, compiled = components._classes, components._compiled_search
 
-    def spy(g, search, *rest):
-        masks = classes(g, search, *rest)
-        runs.append("fallback" if search is components._compiled_search else "searches")
+    def spy_compiled(g, way, *rest):
+        ways.append(way)
+        return compiled(g, way, *rest)
+
+    def spy(*args):
+        ways.clear()
+        masks = classes(*args)
+        runs.append("fallback" if ways else "searches")
+        runs.ways.append(list(ways))
         return masks
 
+    monkeypatch.setattr(components, "_compiled_search", spy_compiled)
     monkeypatch.setattr(components, "_classes", spy)
     return runs
 
@@ -357,6 +373,7 @@ def test_mutual_chain_falls_back(make_graph, taken):
     part = bowtie_decompose(make_graph(300, edges))
     assert part.sizes[BowTieClass.SCC] == 300
     assert taken == ["fallback"]
+    assert taken.ways == [["out", "in", "both"]]
 
 
 def test_lasso_as_large_as_the_core_takes_the_pass(make_graph, taken, monkeypatch):
@@ -395,33 +412,62 @@ def test_shallow_majority_core_takes_the_searches(make_graph, taken, monkeypatch
     assert taken == ["searches", "fallback"]
 
 
-def test_tendril_past_the_cap_gives_way_part_way(make_graph, taken, monkeypatch):
-    # a star core of 400 around hub 0; IN 400, OUT 401, TUBE 400 -> 402 -> 401;
-    # a 300-node TENDRIL off IN whose edges alternate direction, so only the
-    # weak-body search walks it, one node a step; 703 is disconnected
-    edges = [(0, i) for i in range(1, 400)] + [(i, 0) for i in range(1, 400)]
-    edges += [(400, 0), (0, 401), (400, 402), (402, 401), (400, 403)]
-    edges += [(i + 1, i) if i % 2 else (i, i + 1) for i in range(403, 702)]
+# a star core of 400 around hub 0; IN 400, OUT 401, TUBE 400 -> 402 -> 401;
+# a 300-node TENDRIL off IN whose edges alternate direction, so only the
+# weak-body search walks it, one node a step; 703 is disconnected
+STAR_TENDRIL = [(0, i) for i in range(1, 400)] + [(i, 0) for i in range(1, 400)]
+STAR_TENDRIL += [(400, 0), (0, 401), (400, 402), (402, 401), (400, 403)]
+STAR_TENDRIL += [(i + 1, i) if i % 2 else (i, i + 1) for i in range(403, 702)]
+# a 3-cycle core {0, 1, 2} with OUT 3; a 300-node tendril 4..303 hangs into
+# OUT, its edges alternating direction, so only the weak-body search walks it
+ALTERNATING_TENDRIL = [(0, 1), (1, 2), (2, 0), (2, 3), (4, 3)]
+ALTERNATING_TENDRIL += [(i, i + 1) if i % 2 == 0 else (i + 1, i) for i in range(4, 303)]
+# a star core of 150 around hub 0, IN 150 and OUT 151; the TUBE
+# 150 -> 152 <-> 153 <-> ... <-> 251 -> 151 is a mutual chain of 100 nodes,
+# smaller than the core, and only the TUBE searches walk it
+MUTUAL_CHAIN_TUBE = [(0, i) for i in range(1, 150)] + [(i, 0) for i in range(1, 150)]
+MUTUAL_CHAIN_TUBE += [(150, 0), (0, 151), (150, 152), (251, 151)]
+MUTUAL_CHAIN_TUBE += [(i, i + 1) for i in range(152, 251)] + [(i + 1, i) for i in range(152, 251)]
+
+
+STAR_TENDRIL_CLASSES = {
+    "SCC": set(range(400)),
+    "IN": {400},
+    "OUT": {401},
+    "TUBE": {402},
+    "TENDRIL": set(range(403, 703)),
+    "DISCONNECTED": {703},
+}
+
+
+@pytest.mark.parametrize(
+    "n, edges, searched, compiled, want",
+    [
+        (704, STAR_TENDRIL, ["out", "in", "out", "in", "both"], ["both"], STAR_TENDRIL_CLASSES),
+        (304, ALTERNATING_TENDRIL, ["out", "in", "both"], ["both"], None),
+        (252, MUTUAL_CHAIN_TUBE, ["out", "in", "out", "in", "both"], ["out", "in", "both"], None),
+    ],
+    ids=["tendril-off-in", "alternating-tendril", "mutual-chain-tube"],
+)
+def test_a_search_past_the_cap_hands_over_alone(make_graph, taken, monkeypatch, n, edges,
+                                                searched, compiled, want):
+    # each search runs once: the one past the cap finishes compiled and
+    # those after it start there, while the reaches before it are kept
     ways = []
     search = components._search
 
-    def spy(g, way, blocked, seeds, *rest):
+    def spy(g, way, *rest):
         ways.append(way)
-        return search(g, way, blocked, seeds, *rest)
+        return search(g, way, *rest)
 
     monkeypatch.setattr(components, "_search", spy)
-    got = classes_as_sets(bowtie_decompose(make_graph(704, edges)))
-    assert ways == ["out", "in", "out", "in", "both"]
+    got = classes_as_sets(bowtie_decompose(make_graph(n, edges)))
+    assert got == oracles.bowtie_bruteforce(n, edges)
+    if want is not None:
+        assert got == want
+    assert ways == searched
     assert taken == ["fallback"]
-    assert got == {
-        "SCC": set(range(400)),
-        "IN": {400},
-        "OUT": {401},
-        "TUBE": {402},
-        "TENDRIL": set(range(403, 703)),
-        "DISCONNECTED": {703},
-    }
-    assert got == oracles.bowtie_bruteforce(704, edges)
+    assert taken.ways == [compiled]
 
 
 def kernel_cases(seed, trials):
@@ -445,7 +491,7 @@ def kernel_cases(seed, trials):
         yield n, edges
 
 
-def test_kernels_agree():
+def test_kernels_agree(monkeypatch):
     rng = np.random.default_rng(12)
     for n, edges in kernel_cases(seed=11, trials=80):
         g = graph_of(n, edges)
@@ -463,13 +509,15 @@ def test_kernels_agree():
             cases.append((way, None, np.sort(rng.choice(pool, size, replace=False))))
         for way, blocked, seeds in cases:
             assert np.array_equal(
-                components._search(g, way, blocked, seeds),
+                components._search(g, way, blocked, seeds, components._runs(g)),
                 components._compiled_search(g, way, blocked, seeds),
             ), (n, edges, way, blocked, seeds)
-        runs = components._runs(g)
-        masks = components._classes(g, components._search, runs)
-        for got, want in zip(masks, components._classes(g, components._compiled_search, runs)):
-            assert np.array_equal(got, want), (n, edges)
+        # the whole classifier, in numpy and handed over at its first search
+        masks = components._classes(g, components._runs(g))
+        with monkeypatch.context() as m:
+            m.setattr(components, "_LEVELS", 0)
+            for got, want in zip(masks, components._classes(g, components._runs(g))):
+                assert np.array_equal(got, want), (n, edges)
 
 
 @pytest.mark.parametrize("size", [1, 3, 7])
@@ -483,7 +531,8 @@ def test_searches_in_small_blocks_match_bruteforce(monkeypatch, taken, size):
         assert classes_as_sets(bowtie_decompose(g)) == oracles.bowtie_bruteforce(n, edges)
         blocked, none = np.arange(n) % 3 == 0, np.empty(0, dtype=np.int64)
         for way in ("out", "in", "both"):
-            assert components._search(g, way, blocked, none).tolist() == blocked.tolist()
+            got = components._search(g, way, blocked, none, components._runs(g))
+            assert got.tolist() == blocked.tolist()
         # the weak body's CSR: each node's out-row, then its in-row
         offsets, targets = components._both_ways(g)
         rev, sources = g.rev_offsets, g.rev_sources
@@ -630,11 +679,14 @@ def test_searches_leap_as_the_compiled_kernel_and_the_closure_reach():
             pool = reach_oracle(n, edges, "both", none, seeds) if way == "both" else ~none
             seeds = np.union1d(seeds, rng.choice(np.flatnonzero(pool), int(rng.integers(0, 4))))
             want = components._compiled_search(g, way, None, seeds)
-            assert np.array_equal(components._search(g, way, None, seeds), want), (n, edges, way)
+            got = components._search(g, way, None, seeds, runs)
+            assert np.array_equal(got, want), (n, edges, way)
             # blocked nodes anywhere, one of them on a run
             blocked = rng.random(n) < 0.15
             blocked[rng.choice(on_run)] = True
             want = reach_oracle(n, edges, way, blocked, seeds)
             got = components._search(g, way, blocked, seeds, runs)
             assert np.array_equal(got, want), (n, edges, way, blocked, seeds)
+        # no search handed over, so each one above leapt in numpy
+        assert runs.slot is not None
     assert pivots_on_runs
